@@ -4,10 +4,12 @@
 #include <benchmark/benchmark.h>
 
 #include "common/bitmap.hpp"
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "fuselite/mount.hpp"
 #include "nvmalloc/runtime.hpp"
 #include "sim/resource.hpp"
+#include "store/erasure.hpp"
 
 namespace {
 
@@ -41,6 +43,45 @@ void BM_BitmapForEachSet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitmapForEachSet);
+
+std::vector<uint8_t> RandomBytes(size_t n) {
+  std::vector<uint8_t> v(n);
+  Xoshiro256 rng(n);
+  for (auto& b : v) b = static_cast<uint8_t>(rng.Next());
+  return v;
+}
+
+// Host cost of one chunk checksum: the portable slice-by-8 kernel against
+// whatever Crc32c dispatches to on this CPU.
+void BM_Crc32c(benchmark::State& state,
+               uint32_t (*crc)(const void*, size_t, uint32_t)) {
+  const auto buf = RandomBytes(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc(buf.data(), buf.size(), 0));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Crc32c, portable, &Crc32cPortable)
+    ->Arg(4_KiB)
+    ->Arg(64_KiB);
+BENCHMARK_CAPTURE(BM_Crc32c, dispatched, &Crc32c)->Arg(4_KiB)->Arg(64_KiB);
+
+// Host cost of the RS(4,2) encode of one 64 KiB chunk, scalar GF(2^8)
+// kernel against the dispatched one.
+void BM_RsEncode(benchmark::State& state, store::gf256::MulAccFn mul_acc) {
+  const store::ErasureCodec codec(4, 2, mul_acc);
+  const auto chunk = RandomBytes(64_KiB);
+  for (auto _ : state) {
+    auto frags = codec.Encode(chunk);
+    benchmark::DoNotOptimize(frags.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(chunk.size()));
+}
+BENCHMARK_CAPTURE(BM_RsEncode, scalar, &store::gf256::MulAccScalar);
+BENCHMARK_CAPTURE(BM_RsEncode, dispatched, &store::gf256::MulAcc);
 
 struct CacheFixtureState {
   std::unique_ptr<net::Cluster> cluster;

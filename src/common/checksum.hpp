@@ -1,11 +1,18 @@
 // CRC32C (Castagnoli) — the per-chunk integrity checksum of the store.
 //
-// Software slice-by-8: eight compile-time tables let the hot loop fold one
-// 64-bit word per iteration instead of one byte, with no dependence on
-// SSE4.2/ARMv8 CRC instructions (the store must verify chunks on any
-// benefactor node).  The polynomial is the Castagnoli one (0x11EDC6F41,
-// reflected 0x82f63b78) — better error-detection properties for storage
-// payloads than CRC32/zlib and the same check values as iSCSI/ext4.
+// The polynomial is the Castagnoli one (0x11EDC6F41, reflected
+// 0x82f63b78) — better error-detection properties for storage payloads
+// than CRC32/zlib and the same check values as iSCSI/ext4.
+//
+// Two host kernels compute the same function.  On an x86-64 CPU that
+// reports SSE4.2, Crc32c runs three interleaved `crc32` instruction
+// streams over 1 KiB lanes and merges them with a precomputed shift
+// table; everywhere else it runs Crc32cPortable, a slice-by-8 table loop
+// with no dependence on CPU extensions (the store must verify chunks on
+// any benefactor node).  The kernel is picked once, on the first call,
+// and never changes a result.  Nor does it change a modelled cost: the
+// virtual time a hash is charged (StoreConfig::checksum_bw_gbps) is the
+// same whichever kernel the host runs.
 //
 // Convention: Crc32c(data, n) with no seed checksums one whole buffer;
 // passing a previous result as `seed` continues it, so
@@ -13,126 +20,42 @@
 // (the pre/post inversion is internal, as in zlib's crc32()).
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 namespace nvm {
 
-namespace detail {
-
-inline constexpr uint32_t kCrc32cPoly = 0x82f63b78u;  // reflected Castagnoli
-
-constexpr std::array<std::array<uint32_t, 256>, 8> BuildCrc32cTables() {
-  std::array<std::array<uint32_t, 256>, 8> t{};
-  // t[0]: the classic byte-at-a-time table.
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? kCrc32cPoly : 0u);
-    }
-    t[0][i] = crc;
-  }
-  // t[k]: byte i advanced through k additional zero bytes — what lets the
-  // slice-by-8 loop fold eight input bytes with eight independent lookups.
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t crc = t[0][i];
-    for (size_t k = 1; k < 8; ++k) {
-      crc = t[0][crc & 0xffu] ^ (crc >> 8);
-      t[k][i] = crc;
-    }
-  }
-  return t;
-}
-
-inline constexpr auto kCrc32cTables = BuildCrc32cTables();
-
-}  // namespace detail
-
 // CRC32C of [data, data + n).  Chain partial buffers via `seed` (see above).
-inline uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0) {
-  const auto& t = detail::kCrc32cTables;
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = ~seed;
-  if constexpr (std::endian::native == std::endian::little) {
-    // Head: reach 8-byte alignment so the word loads below are aligned.
-    while (n > 0 && (reinterpret_cast<uintptr_t>(p) & 7u) != 0) {
-      crc = t[0][(crc ^ *p++) & 0xffu] ^ (crc >> 8);
-      --n;
-    }
-    // Body: one 64-bit word per iteration, eight table lookups.
-    while (n >= 8) {
-      uint64_t word;
-      std::memcpy(&word, p, sizeof(word));
-      word ^= crc;
-      crc = t[7][word & 0xffu] ^ t[6][(word >> 8) & 0xffu] ^
-            t[5][(word >> 16) & 0xffu] ^ t[4][(word >> 24) & 0xffu] ^
-            t[3][(word >> 32) & 0xffu] ^ t[2][(word >> 40) & 0xffu] ^
-            t[1][(word >> 48) & 0xffu] ^ t[0][(word >> 56) & 0xffu];
-      p += 8;
-      n -= 8;
-    }
-  }
-  // Tail (and the whole buffer on big-endian hosts): byte at a time.
-  while (n > 0) {
-    crc = t[0][(crc ^ *p++) & 0xffu] ^ (crc >> 8);
-    --n;
-  }
-  return ~crc;
-}
+uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0);
 
-namespace detail {
+// The portable slice-by-8 kernel: the fallback Crc32c dispatches to when
+// the CPU has no CRC32C instruction, and the reference the hardware
+// kernel is pinned against.
+uint32_t Crc32cPortable(const void* data, size_t n, uint32_t seed = 0);
 
-// One step of GF(2) linear algebra over the reflected-CRC state space:
-// mat is a 32x32 bit-matrix (column per input bit), vec a CRC register.
-inline uint32_t Gf2MatrixTimes(const uint32_t* mat, uint32_t vec) {
-  uint32_t sum = 0;
-  while (vec != 0) {
-    if ((vec & 1u) != 0) sum ^= *mat;
-    vec >>= 1;
-    ++mat;
-  }
-  return sum;
-}
+enum class Crc32cKernel { kPortable, kSse42 };
 
-inline void Gf2MatrixSquare(uint32_t* square, const uint32_t* mat) {
-  for (int n = 0; n < 32; ++n) square[n] = Gf2MatrixTimes(mat, mat[n]);
-}
-
-}  // namespace detail
+// Which kernel Crc32c dispatches to on this host.
+Crc32cKernel Crc32cSelectedKernel();
 
 // CRC32C of a concatenation from the parts' checksums alone:
 //   Crc32cCombine(Crc32c(a, na), Crc32c(b, nb), nb) == Crc32c(ab, na + nb)
 // Advancing crc_a through len_b zero bytes is multiplication by the
-// shift-matrix raised to the 8*len_b power, built here by repeated
-// squaring (the zlib crc32_combine construction, with the Castagnoli
-// polynomial).  O(log len_b), no access to the underlying bytes — what
-// lets a full-image checksum be derived from per-fragment ones.
-inline uint32_t Crc32cCombine(uint32_t crc_a, uint32_t crc_b,
-                              uint64_t len_b) {
-  if (len_b == 0) return crc_a;
-  uint32_t even[32];  // shift-matrix ^ (2n)
-  uint32_t odd[32];   // shift-matrix ^ (2n+1)
-  // odd := the one-bit shift operator for the reflected polynomial.
-  odd[0] = detail::kCrc32cPoly;
-  for (int n = 1; n < 32; ++n) odd[n] = 1u << (n - 1);
-  // Square twice: one zero BYTE per application of `odd`.
-  detail::Gf2MatrixSquare(even, odd);
-  detail::Gf2MatrixSquare(odd, even);
-  uint32_t crc = crc_a;
-  uint64_t len = len_b;
-  do {
-    detail::Gf2MatrixSquare(even, odd);
-    if ((len & 1u) != 0) crc = detail::Gf2MatrixTimes(even, crc);
-    len >>= 1;
-    if (len == 0) break;
-    detail::Gf2MatrixSquare(odd, even);
-    if ((len & 1u) != 0) crc = detail::Gf2MatrixTimes(odd, crc);
-    len >>= 1;
-  } while (len != 0);
-  return crc ^ crc_b;
-}
+// one-byte shift operator raised to the len_b power; the operator's
+// power-of-two powers are compile-time tables, so this costs one 32x32
+// bit-matrix product per set bit of len_b and never touches the bytes —
+// what lets a full-image checksum be derived from per-fragment ones.
+uint32_t Crc32cCombine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b);
+
+// Checksum of an `image_len`-byte image after its bytes [offset,
+// offset + len) change from `old_bytes` to `new_bytes`, given `crc`, the
+// checksum of the image before the change.  CRC is affine, so the change
+// shifts the checksum by the CRC of the XOR delta, advanced through the
+// image bytes after the window: the cost is two hashes of `len` bytes,
+// independent of image_len.  `crc` must be right — a merge derives the
+// new checksum only from a verified one.
+uint32_t Crc32cUpdate(uint32_t crc, uint64_t image_len, uint64_t offset,
+                      const void* old_bytes, const void* new_bytes,
+                      size_t len);
 
 }  // namespace nvm

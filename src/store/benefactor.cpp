@@ -285,22 +285,71 @@ Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
   return OkStatus();
 }
 
-bool Benefactor::StoreCrcLocked(StoredChunk& chunk, size_t pages_written,
-                                const uint32_t* crc) {
-  if (!config_.integrity() || pages_written == 0) return false;
-  if (crc != nullptr && pages_written == config_.pages_per_chunk()) {
-    // Full-image write: the client already computed (and paid for) the
-    // checksum of exactly these bytes — store it verbatim.
-    chunk.crc = *crc;
-    chunk.has_crc = true;
-    return false;
+Benefactor::MergeResult Benefactor::MergeDirtyPages(
+    sim::VirtualClock& clock, const ChunkKey& key, const Bitmap& dirty,
+    std::span<const uint8_t> data, const uint32_t* crc, uint32_t* stored_crc) {
+  MergeResult result;
+  const size_t dirty_pages = dirty.PopCount();
+  const bool full_image = dirty_pages == config_.pages_per_chunk();
+  bool verified_base = false;
+  bool hashed_merge = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = chunks_.find(key);
+    if (it == chunks_.end()) {
+      StoredChunk chunk;
+      chunk.data.assign(config_.chunk_bytes, 0);
+      chunk.ssd_offset = AllocateOffset();
+      it = chunks_.emplace(key, std::move(chunk)).first;
+    }
+    StoredChunk& chunk = it->second;
+    if (config_.integrity() && chunk.has_crc && dirty_pages > 0 &&
+        !full_image) {
+      // Partial-dirty merge onto an existing image: verify the base first.
+      // Recomputing the merged checksum over unverified clean pages would
+      // launder bit rot into a fresh, matching checksum — the one state no
+      // scrub could ever catch.
+      verified_base = true;
+      result.base_corrupt =
+          Crc32c(chunk.data.data(), chunk.data.size()) != chunk.crc;
+    }
+    if (!result.base_corrupt) {
+      result.offset = chunk.ssd_offset;
+      // Past half the chunk, hashing the dirty pages twice (old and new
+      // bytes) costs more than rehashing the merged image once.
+      const bool derive = verified_base && 2 * dirty_pages <= dirty.size();
+      uint32_t merged_crc = chunk.crc;
+      dirty.ForEachSet([&](size_t page) {
+        const uint64_t off = page * config_.page_bytes;
+        if (derive) {
+          merged_crc = Crc32cUpdate(merged_crc, chunk.data.size(), off,
+                                    chunk.data.data() + off, data.data() + off,
+                                    config_.page_bytes);
+        }
+        std::memcpy(chunk.data.data() + off, data.data() + off,
+                    config_.page_bytes);
+      });
+      result.pages_written = dirty_pages;
+      if (config_.integrity() && dirty_pages > 0) {
+        if (crc != nullptr && full_image) {
+          // Full-image write: the client already computed (and paid for)
+          // the checksum of exactly these bytes — store it verbatim.
+          chunk.crc = *crc;
+        } else {
+          // The stored image is a merge of old and new pages, so the
+          // checksum must cover the merged result.
+          chunk.crc = derive ? merged_crc
+                             : Crc32c(chunk.data.data(), chunk.data.size());
+          hashed_merge = true;
+        }
+        chunk.has_crc = true;
+      }
+      if (stored_crc != nullptr && chunk.has_crc) *stored_crc = chunk.crc;
+    }
   }
-  // Partial-dirty write (or no client crc): the stored image is a merge of
-  // old and new pages, so the checksum must cover the merged result.  The
-  // caller charges the checksum CPU cost.
-  chunk.crc = Crc32c(chunk.data.data(), chunk.data.size());
-  chunk.has_crc = true;
-  return true;
+  if (verified_base) clock.Advance(config_.checksum_ns(config_.chunk_bytes));
+  if (hashed_merge) clock.Advance(config_.checksum_ns(config_.chunk_bytes));
+  return result;
 }
 
 Status Benefactor::VerifyChunk(sim::VirtualClock& clock, const ChunkKey& key,
@@ -347,46 +396,9 @@ Status Benefactor::WritePages(sim::VirtualClock& clock, const ChunkKey& key,
   NVM_CHECK(data.size() == config_.chunk_bytes);
   NVM_CHECK(dirty_pages.size() == config_.pages_per_chunk());
 
-  uint64_t offset = 0;
-  size_t pages_written = 0;
-  bool charge_crc = false;
-  bool pre_verified = false;
-  bool pre_corrupt = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = chunks_.find(key);
-    if (it == chunks_.end()) {
-      StoredChunk chunk;
-      chunk.data.assign(config_.chunk_bytes, 0);
-      chunk.ssd_offset = AllocateOffset();
-      it = chunks_.emplace(key, std::move(chunk)).first;
-    } else if (config_.integrity() && it->second.has_crc &&
-               dirty_pages.PopCount() > 0 &&
-               dirty_pages.PopCount() < config_.pages_per_chunk()) {
-      // Partial-dirty merge onto an existing image: verify the base first.
-      // Recomputing the merged checksum over unverified clean pages would
-      // launder bit rot into a fresh, matching checksum — the one state no
-      // scrub could ever catch.
-      pre_verified = true;
-      pre_corrupt = Crc32c(it->second.data.data(), it->second.data.size()) !=
-                    it->second.crc;
-    }
-    if (!pre_corrupt) {
-      offset = it->second.ssd_offset;
-      dirty_pages.ForEachSet([&](size_t page) {
-        const uint64_t off = page * config_.page_bytes;
-        std::memcpy(it->second.data.data() + off, data.data() + off,
-                    config_.page_bytes);
-        ++pages_written;
-      });
-      charge_crc = StoreCrcLocked(it->second, pages_written, crc);
-      if (stored_crc != nullptr && it->second.has_crc) {
-        *stored_crc = it->second.crc;
-      }
-    }
-  }
-  if (pre_verified) clock.Advance(config_.checksum_ns(config_.chunk_bytes));
-  if (pre_corrupt) {
+  const MergeResult merge =
+      MergeDirtyPages(clock, key, dirty_pages, data, crc, stored_crc);
+  if (merge.base_corrupt) {
     return Corrupt("benefactor " + std::to_string(id_) +
                    ": pre-image checksum mismatch merging into " +
                    key.ToString());
@@ -395,12 +407,11 @@ Status Benefactor::WritePages(sim::VirtualClock& clock, const ChunkKey& key,
   // contiguous enough that we charge them as one request per dirty run; a
   // single combined request keeps the model simple and matches the paper's
   // "send only the dirty pages" accounting.
-  if (pages_written > 0) {
-    if (charge_crc) clock.Advance(config_.checksum_ns(config_.chunk_bytes));
-    const uint64_t bytes = pages_written * config_.page_bytes;
+  if (merge.pages_written > 0) {
+    const uint64_t bytes = merge.pages_written * config_.page_bytes;
     // No admission here: the caller admitted BEFORE shipping the dirty
     // pages over the wire (see AdmitTransfer's contract in the header).
-    node_.ssd().ChargeWrite(clock, offset, bytes);
+    node_.ssd().ChargeWrite(clock, merge.offset, bytes);
     data_bytes_in_.Add(bytes);
     MaybeKillAfterWrite();
     MaybeCorruptAfterWrite();
@@ -444,46 +455,10 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
                                 dirty_bytes);
     clock.AdvanceTo(arrive);
 
-    uint64_t offset = 0;
-    size_t pages_written = 0;
-    bool charge_crc = false;
-    bool pre_verified = false;
-    bool pre_corrupt = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = chunks_.find(item.key);
-      if (it == chunks_.end()) {
-        StoredChunk chunk;
-        chunk.data.assign(config_.chunk_bytes, 0);
-        chunk.ssd_offset = AllocateOffset();
-        it = chunks_.emplace(item.key, std::move(chunk)).first;
-      } else if (config_.integrity() && it->second.has_crc &&
-                 item.dirty->PopCount() > 0 &&
-                 item.dirty->PopCount() < config_.pages_per_chunk()) {
-        // Same base-image verification as the per-chunk path: a merge must
-        // never launder rotted clean pages into a fresh checksum.
-        pre_verified = true;
-        pre_corrupt =
-            Crc32c(it->second.data.data(), it->second.data.size()) !=
-            it->second.crc;
-      }
-      if (!pre_corrupt) {
-        offset = it->second.ssd_offset;
-        item.dirty->ForEachSet([&](size_t page) {
-          const uint64_t off = page * config_.page_bytes;
-          std::memcpy(it->second.data.data() + off, item.data.data() + off,
-                      config_.page_bytes);
-          ++pages_written;
-        });
-        charge_crc = StoreCrcLocked(it->second, pages_written,
-                                    item.has_crc ? &item.crc : nullptr);
-        if (item.stored_crc != nullptr && it->second.has_crc) {
-          *item.stored_crc = it->second.crc;
-        }
-      }
-    }
-    if (pre_verified) clock.Advance(config_.checksum_ns(config_.chunk_bytes));
-    if (pre_corrupt) {
+    const MergeResult merge =
+        MergeDirtyPages(clock, item.key, *item.dirty, item.data,
+                        item.has_crc ? &item.crc : nullptr, item.stored_crc);
+    if (merge.base_corrupt) {
       // The whole run aborts (the stream protocol has no per-item status);
       // the caller falls back to per-chunk writes, where the corrupt
       // replica is reported and the healthy ones still land.
@@ -491,19 +466,17 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
                      ": pre-image checksum mismatch merging into " +
                      item.key.ToString() + " mid-run");
     }
-    if (pages_written > 0) {
-      if (charge_crc) clock.Advance(config_.checksum_ns(config_.chunk_bytes));
+    if (merge.pages_written > 0) {
+      const uint64_t bytes = merge.pages_written * config_.page_bytes;
       // The run occupies one device queueing slot: the first programmed
       // chunk pays the per-request write latency, the rest stream at
       // bandwidth.  QoS admits chunk-by-chunk so a throttled writer's run
       // yields the device between chunks.
-      AdmitTransfer(clock, tenant, pages_written * config_.page_bytes,
-                    /*is_write=*/true, /*wire_bytes=*/0);
-      node_.ssd().ChargeRunWrite(clock, offset,
-                                 pages_written * config_.page_bytes,
-                                 first_data_chunk);
+      AdmitTransfer(clock, tenant, bytes, /*is_write=*/true,
+                    /*wire_bytes=*/0);
+      node_.ssd().ChargeRunWrite(clock, merge.offset, bytes, first_data_chunk);
       first_data_chunk = false;
-      data_bytes_in_.Add(pages_written * config_.page_bytes);
+      data_bytes_in_.Add(bytes);
       MaybeKillAfterWrite();
       MaybeCorruptAfterWrite();
     }

@@ -249,12 +249,27 @@ class Benefactor {
   // Tick the bit-rot countdown after a chunk's pages were programmed,
   // flipping a random stored bit when it fires.
   void MaybeCorruptAfterWrite();
-  // Record the chunk's checksum after `pages_written` pages were merged
-  // into it (mutex held).  Returns true when the caller must charge the
-  // checksum CPU cost (the merged image was recomputed here rather than
-  // taking the client-supplied full-image crc).
-  bool StoreCrcLocked(StoredChunk& chunk, size_t pages_written,
-                      const uint32_t* crc);
+  // Outcome of MergeDirtyPages.
+  struct MergeResult {
+    uint64_t offset = 0;        // device offset of the stored chunk
+    size_t pages_written = 0;   // dirty pages landed on the image
+    bool base_corrupt = false;  // nothing landed: the base failed its crc
+  };
+  // The merge step of WritePages and WriteChunkRun: land the `dirty`
+  // pages of `data` on the stored image of `key` (a fresh zero image when
+  // absent) and record the chunk's checksum — the client's `crc` verbatim
+  // for a full-image write, else the merged image's.  A partial-dirty
+  // merge onto a checksummed image first verifies the base; a mismatch
+  // merges nothing and reports `base_corrupt`.  When few pages are dirty
+  // the merged checksum is derived from the verified base crc and the
+  // dirty pages alone (Crc32cUpdate) instead of rehashing the image.
+  // Charges the modelled checksum CPU on `clock` whatever the host did:
+  // one chunk hash for the base verification and one for the merged
+  // image when the client's crc could not be stored verbatim.
+  MergeResult MergeDirtyPages(sim::VirtualClock& clock, const ChunkKey& key,
+                              const Bitmap& dirty,
+                              std::span<const uint8_t> data,
+                              const uint32_t* crc, uint32_t* stored_crc);
   const int id_;
   net::Node& node_;
   const uint64_t contributed_bytes_;

@@ -32,13 +32,30 @@ uint8_t Div(uint8_t a, uint8_t b);  // b != 0
 uint8_t Inv(uint8_t a);             // a != 0
 uint8_t Exp(unsigned i);            // alpha^i (i reduced mod 255)
 uint8_t Log(uint8_t a);             // discrete log base alpha; a != 0
+
+// dst ^= coeff * src, byte-wise (addition is XOR); src and dst have equal
+// sizes.  MulAcc runs an AVX2 split-nibble kernel (two 16-entry PSHUFB
+// tables per coefficient, the ISA-L formulation) when the CPU reports
+// AVX2, picked once on the first call; MulAccScalar is the portable
+// row-table loop it falls back to.  Both give the same bytes.
+using MulAccFn = void (*)(uint8_t coeff, std::span<const uint8_t> src,
+                          std::span<uint8_t> dst);
+void MulAcc(uint8_t coeff, std::span<const uint8_t> src,
+            std::span<uint8_t> dst);
+void MulAccScalar(uint8_t coeff, std::span<const uint8_t> src,
+                  std::span<uint8_t> dst);
+// True when MulAcc dispatches to the AVX2 kernel on this host.
+bool MulAccIsSimd();
 }  // namespace gf256
 
 // Encode/decode engine for one RS(k, m) geometry.  Stateless beyond the
 // precomputed parity rows; safe to share across threads.
 class ErasureCodec {
  public:
-  ErasureCodec(uint32_t k, uint32_t m);
+  // `mul_acc` is the GF(2^8) kernel every encode and decode runs; tests
+  // pass gf256::MulAccScalar to pin the dispatched kernel against it.
+  ErasureCodec(uint32_t k, uint32_t m,
+               gf256::MulAccFn mul_acc = &gf256::MulAcc);
 
   uint32_t k() const { return k_; }
   uint32_t m() const { return m_; }
@@ -72,6 +89,7 @@ class ErasureCodec {
  private:
   uint32_t k_;
   uint32_t m_;
+  gf256::MulAccFn mul_acc_;
   // Row-major m×k parity matrix (the Cauchy block C of [I_k ; C]).
   std::vector<uint8_t> parity_;
 };

@@ -2,9 +2,11 @@
 // formatting, RNG determinism, statistics, bitmaps, and the thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bitmap.hpp"
@@ -272,14 +274,62 @@ uint32_t Crc32cReference(const void* data, size_t n, uint32_t seed = 0) {
 }
 
 TEST(Crc32cTest, KnownAnswerVectors) {
-  // The classic check value plus the RFC 3720 appendix B.4 test patterns.
-  EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
-  std::vector<uint8_t> buf(32, 0x00);
-  EXPECT_EQ(Crc32c(buf.data(), buf.size()), 0x8A9136AAu);
-  buf.assign(32, 0xFF);
-  EXPECT_EQ(Crc32c(buf.data(), buf.size()), 0x62A8AB43u);
-  for (size_t i = 0; i < 32; ++i) buf[i] = static_cast<uint8_t>(i);
-  EXPECT_EQ(Crc32c(buf.data(), buf.size()), 0x46DD794Eu);
+  // The classic check value plus the RFC 3720 appendix B.4 test patterns,
+  // against both the dispatched and the portable kernel.
+  for (auto crc : {&Crc32c, &Crc32cPortable}) {
+    EXPECT_EQ(crc("123456789", 9, 0), 0xE3069283u);
+    std::vector<uint8_t> buf(32, 0x00);
+    EXPECT_EQ(crc(buf.data(), buf.size(), 0), 0x8A9136AAu);
+    buf.assign(32, 0xFF);
+    EXPECT_EQ(crc(buf.data(), buf.size(), 0), 0x62A8AB43u);
+    for (size_t i = 0; i < 32; ++i) buf[i] = static_cast<uint8_t>(i);
+    EXPECT_EQ(crc(buf.data(), buf.size(), 0), 0x46DD794Eu);
+  }
+}
+
+// Two full 3 x 1 KiB blocks of the interleaved hardware kernel plus a
+// 17-byte tail: every lane, block and tail boundary is crossed.
+constexpr size_t kCrcSweepBytes = 2 * 3 * 1024 + 17;
+
+TEST(Crc32cTest, DispatchedMatchesPortableAtEveryLength) {
+  Xoshiro256 rng(5);
+  std::vector<uint8_t> buf(kCrcSweepBytes);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t len = 0; len <= buf.size(); ++len) {
+    ASSERT_EQ(Crc32c(buf.data(), len), Crc32cPortable(buf.data(), len))
+        << "len " << len;
+  }
+}
+
+TEST(Crc32cTest, DispatchedMatchesPortableAtEveryAlignmentAndSeed) {
+  Xoshiro256 rng(6);
+  std::vector<uint8_t> storage(kCrcSweepBytes + 16);
+  for (auto& b : storage) b = static_cast<uint8_t>(rng.Next());
+  // An 8-byte-aligned origin, so `align` is the true start misalignment.
+  const uint8_t* origin =
+      storage.data() + (8 - reinterpret_cast<uintptr_t>(storage.data()) % 8);
+  for (size_t align = 0; align < 8; ++align) {
+    uint32_t seed_hw = 0;
+    uint32_t seed_sw = 0;
+    for (size_t len : std::initializer_list<size_t>{
+             0, 1, 7, 8, 9, 1023, 1024, 3071, 3072, 3073, 6144,
+             kCrcSweepBytes - 8}) {
+      seed_hw = Crc32c(origin + align, len, seed_hw);
+      seed_sw = Crc32cPortable(origin + align, len, seed_sw);
+      ASSERT_EQ(seed_hw, seed_sw) << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, DispatcherPicksHardwareKernelWhenCpuHasSse42) {
+  // CI must exercise the hardware kernel wherever the CPU has it — a
+  // silent fallback to slice-by-8 would pass every equivalence test.
+#if defined(__x86_64__)
+  if (!__builtin_cpu_supports("sse4.2")) GTEST_SKIP() << "no SSE4.2 here";
+  EXPECT_EQ(Crc32cSelectedKernel(), Crc32cKernel::kSse42);
+#else
+  EXPECT_EQ(Crc32cSelectedKernel(), Crc32cKernel::kPortable);
+#endif
 }
 
 TEST(Crc32cTest, EmptyInputIsZero) {
@@ -336,6 +386,32 @@ TEST(Crc32cTest, CombineMatchesWholeBufferAtEverySplit) {
     image = Crc32cCombine(image, Crc32c(chunk.data() + f * frag, frag), frag);
   }
   EXPECT_EQ(image, Crc32c(chunk.data(), chunk.size()));
+}
+
+TEST(Crc32cTest, UpdateMatchesRehashOfChangedImage) {
+  // Crc32cUpdate derives an image's checksum after an in-place change from
+  // the old checksum and the changed window alone — windows at the head,
+  // middle and tail, of odd sizes, applied one after another.
+  Xoshiro256 rng(43);
+  std::vector<uint8_t> image(4096 + 3);
+  for (auto& b : image) b = static_cast<uint8_t>(rng.Next());
+  uint32_t crc = Crc32c(image.data(), image.size());
+  for (auto [off, len] : std::initializer_list<std::pair<size_t, size_t>>{
+           {0, 1},
+           {0, 512},
+           {1000, 97},
+           {2048, 2048},
+           {image.size() - 1, 1},
+           {0, image.size()},
+           {17, 0}}) {
+    std::vector<uint8_t> fresh(len);
+    for (auto& b : fresh) b = static_cast<uint8_t>(rng.Next());
+    crc = Crc32cUpdate(crc, image.size(), off, image.data() + off,
+                       fresh.data(), len);
+    std::copy(fresh.begin(), fresh.end(), image.begin() + off);
+    ASSERT_EQ(crc, Crc32c(image.data(), image.size()))
+        << "window " << off << "+" << len;
+  }
 }
 
 TEST(Crc32cTest, SingleBitFlipChangesChecksum) {

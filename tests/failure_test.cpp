@@ -6,7 +6,9 @@
 
 #include <cstring>
 #include <functional>
+#include <vector>
 
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "nvmalloc/runtime.hpp"
 #include "sim/clock.hpp"
@@ -889,6 +891,183 @@ TEST(CorruptionTest, VerifyOffServesRotSilently) {
   EXPECT_EQ(got[17], data[17] ^ 0x04);   // exactly the injected flip
   EXPECT_EQ(c.corrupt_failovers(), 0u);
   EXPECT_EQ(m.corrupt_detected(), 0u);
+}
+
+// ---- benefactor merge path: partial-dirty writes and their checksum ----
+
+// The two write RPCs that merge dirty pages into a stored image.
+enum class MergeRpc { kWritePages, kWriteChunkRun };
+
+// Land `dirty` pages of `image` on `key` through one of the two RPCs, with
+// the client's full-image crc attached as the flush path sends it.
+Status MergeVia(MergeRpc rpc, store::Benefactor& b, sim::VirtualClock& clock,
+                const store::ChunkKey& key, const Bitmap& dirty,
+                const std::vector<uint8_t>& image,
+                uint32_t* stored_crc = nullptr) {
+  const uint32_t client_crc = Crc32c(image.data(), image.size());
+  if (rpc == MergeRpc::kWritePages) {
+    return b.WritePages(clock, key, dirty, image, &client_crc, stored_crc);
+  }
+  store::ChunkWriteItem item;
+  item.key = key;
+  item.dirty = &dirty;
+  item.data = image;
+  item.has_crc = true;
+  item.crc = client_crc;
+  item.stored_crc = stored_crc;
+  return b.WriteChunkRun(
+      clock, {&item, 1},
+      [](store::RunMsg, int64_t at, uint64_t) { return at; });
+}
+
+store::ChunkKey MergeKey(uint64_t n) {
+  store::ChunkKey key;
+  key.origin_file = 7000 + n;
+  key.index = 0;
+  key.version = 0;
+  return key;
+}
+
+// The dirty sets every merge test walks: first, middle and last page, two
+// non-adjacent pages, and all but one page.
+std::vector<Bitmap> MergeDirtySets(size_t pages) {
+  std::vector<Bitmap> sets;
+  for (const auto& set : std::initializer_list<std::vector<size_t>>{
+           {0}, {pages / 2}, {pages - 1}, {1, pages - 3}}) {
+    Bitmap dirty(pages);
+    for (size_t page : set) dirty.Set(page);
+    sets.push_back(dirty);
+  }
+  Bitmap all_but_one(pages);
+  all_but_one.SetAll();
+  all_but_one.Clear(pages / 3);
+  sets.push_back(all_but_one);
+  return sets;
+}
+
+TEST(MergeCrcTest, PartialMergeStoresChecksumOfStoredImage) {
+  // Whether the merged checksum is derived from the verified base crc
+  // (few dirty pages) or rehashed (many), it must be exactly the CRC of
+  // the bytes the benefactor now holds — and those bytes the merge.
+  Rig rig(/*replication=*/1, /*benefactors=*/1);
+  store::Benefactor& b = rig.store->benefactor(0);
+  const uint64_t page = store::StoreConfig{}.page_bytes;
+  const size_t pages = kChunk / page;
+  Bitmap all(pages);
+  all.SetAll();
+  uint64_t n = 0;
+  for (MergeRpc rpc : {MergeRpc::kWritePages, MergeRpc::kWriteChunkRun}) {
+    for (const Bitmap& dirty : MergeDirtySets(pages)) {
+      SCOPED_TRACE(::testing::Message()
+                   << "rpc " << static_cast<int>(rpc) << " dirty "
+                   << dirty.PopCount() << " pages, case " << n);
+      const store::ChunkKey key = MergeKey(n);
+      const auto base = Pattern(kChunk, 100 + n);
+      const auto update = Pattern(kChunk, 200 + n);
+      ++n;
+      sim::VirtualClock clock(0);
+      ASSERT_TRUE(MergeVia(rpc, b, clock, key, all, base).ok());
+      uint32_t acked = 0;
+      ASSERT_TRUE(MergeVia(rpc, b, clock, key, dirty, update, &acked).ok());
+
+      std::vector<uint8_t> expect = base;
+      dirty.ForEachSet([&](size_t p) {
+        std::memcpy(expect.data() + p * page, update.data() + p * page, page);
+      });
+      bool has_crc = false;
+      uint32_t recorded = 0;
+      uint32_t content = 0;
+      ASSERT_TRUE(b.StoredChunkCrc(key, &has_crc, &recorded));
+      ASSERT_TRUE(b.StoredContentCrc(key, &content));
+      EXPECT_TRUE(has_crc);
+      EXPECT_EQ(recorded, content);
+      EXPECT_EQ(recorded, Crc32c(expect.data(), expect.size()));
+      EXPECT_EQ(acked, recorded);
+      std::vector<uint8_t> got(kChunk);
+      ASSERT_TRUE(b.ReadChunk(clock, key, got).ok());  // verifying read
+      EXPECT_EQ(got, expect);
+    }
+  }
+}
+
+TEST(MergeCrcTest, RottedBaseRejectsMergeAndLeavesChunkUntouched) {
+  Rig rig(/*replication=*/1, /*benefactors=*/1);
+  store::Benefactor& b = rig.store->benefactor(0);
+  const size_t pages = kChunk / store::StoreConfig{}.page_bytes;
+  Bitmap all(pages);
+  all.SetAll();
+  uint64_t n = 0;
+  for (MergeRpc rpc : {MergeRpc::kWritePages, MergeRpc::kWriteChunkRun}) {
+    for (const Bitmap& dirty : MergeDirtySets(pages)) {
+      SCOPED_TRACE(::testing::Message() << "rpc " << static_cast<int>(rpc)
+                                        << " case " << n);
+      const store::ChunkKey key = MergeKey(n);
+      const auto base = Pattern(kChunk, 300 + n);
+      ++n;
+      sim::VirtualClock clock(0);
+      ASSERT_TRUE(MergeVia(rpc, b, clock, key, all, base).ok());
+      ASSERT_TRUE(b.CorruptChunk(key, 4097, 0x10).ok());
+      bool has_crc = false;
+      uint32_t recorded = 0;
+      uint32_t content = 0;
+      ASSERT_TRUE(b.StoredChunkCrc(key, &has_crc, &recorded));
+      ASSERT_TRUE(b.StoredContentCrc(key, &content));
+
+      const Status s =
+          MergeVia(rpc, b, clock, key, dirty, Pattern(kChunk, 400 + n));
+      EXPECT_EQ(s.code(), ErrorCode::kCorrupt) << s.ToString();
+      bool has_after = false;
+      uint32_t recorded_after = 0;
+      uint32_t content_after = 0;
+      ASSERT_TRUE(b.StoredChunkCrc(key, &has_after, &recorded_after));
+      ASSERT_TRUE(b.StoredContentCrc(key, &content_after));
+      EXPECT_TRUE(has_after);
+      EXPECT_EQ(recorded_after, recorded);  // the rot stays detectable
+      EXPECT_EQ(content_after, content);    // no page landed
+    }
+  }
+}
+
+TEST(MergeCrcTest, PartialMergeChargesTwoChunkChecksums) {
+  // Virtual-time pin: a partial merge charges one checksum_ns(chunk_bytes)
+  // for the base verification and one for the merged image, however the
+  // host computed the merged crc; a full-image write charges none.  Two
+  // rigs that differ only in the modelled checksum bandwidth isolate the
+  // checksum share of each write's elapsed time.
+  const auto elapsed = [](double gbps, MergeRpc rpc, const Bitmap& dirty) {
+    Rig rig(/*replication=*/1, /*benefactors=*/1, /*maintenance=*/false,
+            [gbps](store::StoreConfig& s) { s.checksum_bw_gbps = gbps; });
+    store::Benefactor& b = rig.store->benefactor(0);
+    Bitmap all(dirty.size());
+    all.SetAll();
+    sim::VirtualClock base_clock(0);
+    EXPECT_TRUE(
+        MergeVia(rpc, b, base_clock, MergeKey(0), all, Pattern(kChunk, 1))
+            .ok());
+    sim::VirtualClock clock(1'000 * kMs);
+    EXPECT_TRUE(
+        MergeVia(rpc, b, clock, MergeKey(0), dirty, Pattern(kChunk, 2)).ok());
+    return clock.now() - 1'000 * kMs;
+  };
+  const auto chunk_ns = [](double gbps) {
+    store::StoreConfig cfg;
+    cfg.checksum_bw_gbps = gbps;
+    return cfg.checksum_ns(kChunk);
+  };
+  const int64_t extra_ns = chunk_ns(1.0) - chunk_ns(4.0);
+  ASSERT_GT(extra_ns, 0);
+  const size_t pages = kChunk / store::StoreConfig{}.page_bytes;
+  Bitmap all(pages);
+  all.SetAll();
+  for (MergeRpc rpc : {MergeRpc::kWritePages, MergeRpc::kWriteChunkRun}) {
+    for (const Bitmap& dirty : MergeDirtySets(pages)) {
+      EXPECT_EQ(elapsed(1.0, rpc, dirty) - elapsed(4.0, rpc, dirty),
+                2 * extra_ns)
+          << "rpc " << static_cast<int>(rpc) << " dirty "
+          << dirty.PopCount();
+    }
+    EXPECT_EQ(elapsed(1.0, rpc, all), elapsed(4.0, rpc, all));
+  }
 }
 
 }  // namespace
