@@ -10,6 +10,7 @@
 #include "nvmalloc/runtime.hpp"
 #include "sim/resource.hpp"
 #include "store/erasure.hpp"
+#include "store/store.hpp"
 
 namespace {
 
@@ -24,6 +25,49 @@ void BM_ResourceSchedule(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ResourceSchedule);
+
+// Backfill behind a far-future reservation: every request lands before the
+// last interval, so each one extends its predecessor in place rather than
+// the tail.
+void BM_ResourceScheduleBackfill(benchmark::State& state) {
+  sim::Resource r("dev");
+  r.Schedule(int64_t{1} << 50, 1000);
+  int64_t t = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(r.Schedule(t, 1000));
+    t += 500;
+  }
+}
+BENCHMARK(BM_ResourceScheduleBackfill);
+
+// Deep backfill: range(0) standing intervals with wide gaps between them,
+// and every request lands at a random point far behind the tail — mostly
+// opening a new interval mid-timeline.  The timeline is rebuilt (untimed)
+// each time it has doubled.
+void BM_ResourceScheduleDeepBackfill(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  constexpr int64_t kPitch = int64_t{1} << 20;
+  sim::Resource r("dev");
+  const auto fill = [&] {
+    r.Reset();
+    for (int64_t i = 0; i < n; ++i) r.Schedule(i * kPitch, 1000);
+  };
+  fill();
+  Xoshiro256 rng(1);
+  int64_t since_fill = 0;
+  for (auto _ : state) {
+    if (++since_fill == n) {
+      state.PauseTiming();
+      fill();
+      since_fill = 0;
+      state.ResumeTiming();
+    }
+    const auto at = static_cast<int64_t>(
+        rng.NextBelow(static_cast<uint64_t>((n - 1) * kPitch)));
+    benchmark::DoNotOptimize(r.Schedule(at, 100));
+  }
+}
+BENCHMARK(BM_ResourceScheduleDeepBackfill)->Arg(64)->Arg(4096);
 
 void BM_XoshiroNext(benchmark::State& state) {
   Xoshiro256 rng(1);
@@ -67,14 +111,15 @@ BENCHMARK_CAPTURE(BM_Crc32c, portable, &Crc32cPortable)
     ->Arg(64_KiB);
 BENCHMARK_CAPTURE(BM_Crc32c, dispatched, &Crc32c)->Arg(4_KiB)->Arg(64_KiB);
 
-// Host cost of the RS(4,2) encode of one 64 KiB chunk, scalar GF(2^8)
-// kernel against the dispatched one.
+// Host cost of the RS(4,2) encode of one 64 KiB chunk as the stripe write
+// path runs it (data fragments are views of the chunk; only parity is
+// computed), scalar GF(2^8) kernel against the dispatched one.
 void BM_RsEncode(benchmark::State& state, store::gf256::MulAccFn mul_acc) {
   const store::ErasureCodec codec(4, 2, mul_acc);
   const auto chunk = RandomBytes(64_KiB);
   for (auto _ : state) {
-    auto frags = codec.Encode(chunk);
-    benchmark::DoNotOptimize(frags.data());
+    auto parity = codec.EncodeParity(codec.DataFragments(chunk));
+    benchmark::DoNotOptimize(parity.data());
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
@@ -82,6 +127,47 @@ void BM_RsEncode(benchmark::State& state, store::gf256::MulAccFn mul_acc) {
 }
 BENCHMARK_CAPTURE(BM_RsEncode, scalar, &store::gf256::MulAccScalar);
 BENCHMARK_CAPTURE(BM_RsEncode, dispatched, &store::gf256::MulAcc);
+
+// Host cost of one batched read of range(0) stored 64 KiB chunks from one
+// benefactor: the manager lookup (location-cached after the first pass),
+// one ReadChunkRun streaming every chunk, and the copies into the caller's
+// buffers.
+void BM_ReadChunkRun(benchmark::State& state) {
+  const auto chunks = static_cast<uint32_t>(state.range(0));
+  net::ClusterConfig cc;
+  cc.num_nodes = 2;
+  net::Cluster cluster(cc);
+  store::AggregateStoreConfig sc;
+  sc.benefactor_nodes = {1};
+  sc.contribution_bytes = 256_MiB;
+  sc.manager_node = 1;
+  sc.store.chunk_bytes = 64_KiB;
+  store::AggregateStore store(cluster, sc);
+  store::StoreClient& client = store.ClientForNode(0);
+  sim::VirtualClock clock(0);
+  auto id = client.Create(clock, "/run");
+  NVM_CHECK(id.ok());
+  NVM_CHECK(client.Fallocate(clock, *id, chunks * 64_KiB).ok());
+  const auto image = RandomBytes(64_KiB);
+  Bitmap all(64_KiB / client.config().page_bytes);
+  all.SetAll();
+  for (uint32_t i = 0; i < chunks; ++i) {
+    NVM_CHECK(client.WriteChunkPages(clock, *id, i, all, image).ok());
+  }
+  std::vector<uint8_t> bufs(chunks * 64_KiB);
+  std::vector<store::StoreClient::ChunkFetch> fetches(chunks);
+  for (auto _ : state) {
+    for (uint32_t i = 0; i < chunks; ++i) {
+      fetches[i].index = i;
+      fetches[i].out = {bufs.data() + i * 64_KiB, 64_KiB};
+    }
+    benchmark::DoNotOptimize(client.ReadChunks(clock, *id, fetches));
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bufs.size()));
+}
+BENCHMARK(BM_ReadChunkRun)->Arg(1)->Arg(8);
 
 struct CacheFixtureState {
   std::unique_ptr<net::Cluster> cluster;

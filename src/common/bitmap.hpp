@@ -56,6 +56,7 @@ class Bitmap {
   }
 
   bool None() const { return !Any(); }
+  bool All() const { return PopCount() == bits_; }
 
   // First set bit at or after `from`, or size() if none.
   size_t FindNextSet(size_t from) const {

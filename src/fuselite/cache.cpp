@@ -73,6 +73,14 @@ uint32_t ChunkCache::readahead_window(store::FileId file) const {
   return best->window;
 }
 
+ChunkCache::Slot ChunkCache::NewSlot() const {
+  Slot slot;
+  slot.data = std::make_unique_for_overwrite<uint8_t[]>(chunk_bytes());
+  slot.dirty = Bitmap(chunk_bytes() / page_bytes());
+  slot.valid = Bitmap(chunk_bytes() / page_bytes());
+  return slot;
+}
+
 void ChunkCache::TouchLocked(Shard& sh, const SlotKey& key, Slot& slot) {
   const uint64_t tick = lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
   sh.lru.erase(slot.lru_it);
@@ -146,7 +154,7 @@ Status ChunkCache::FlushFileWindow(sim::VirtualClock& clock,
       whole.back().SetAll();
       w.dirty = &whole.back();
     }
-    w.image = it->second.data;
+    w.image = bytes(it->second);
     writes.push_back(w);
     entries.push_back({&it->second, w.dirty->PopCount()});
   }
@@ -286,10 +294,7 @@ StatusOr<ChunkCache::Slot*> ChunkCache::GetOrCreateSlot(
     return &it->second;
   }
 
-  Slot slot;
-  slot.data.assign(chunk_bytes(), 0);
-  slot.dirty = Bitmap(chunk_bytes() / page_bytes());
-  slot.valid = Bitmap(chunk_bytes() / page_bytes());
+  Slot slot = NewSlot();
   slot.ready_at = clock.now();
   const uint64_t tick = lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
   sh.lru.push_front({key, tick});
@@ -313,17 +318,28 @@ Status ChunkCache::EnsureValidLocked(sim::VirtualClock& clock,
   if (all_valid) return OkStatus();
 
   // Fetch the whole chunk (the store's transfer unit) and fill only the
-  // pages we do not already have locally.
-  std::vector<uint8_t> fetched(chunk_bytes());
+  // pages we do not already have locally.  With nothing local yet it lands
+  // straight in the slot (a failed read leaves no page valid).
+  const bool in_place = slot.valid.None();
+  std::unique_ptr<uint8_t[]> scratch;
+  if (!in_place) {
+    scratch = std::make_unique_for_overwrite<uint8_t[]>(chunk_bytes());
+  }
+  uint8_t* fetched = in_place ? slot.data.get() : scratch.get();
   const int64_t t0 = clock.now();
-  NVM_RETURN_IF_ERROR(client_.ReadChunk(clock, key.file, key.index, fetched));
+  NVM_RETURN_IF_ERROR(client_.ReadChunk(clock, key.file, key.index,
+                                        {fetched, chunk_bytes()}));
   SerializeOnDaemon(clock, t0);
   ++traffic_.fetched_chunks;
-  for (size_t p = 0; p < slot.valid.size(); ++p) {
-    if (!slot.valid.Test(p)) {
-      std::memcpy(slot.data.data() + p * page_bytes(),
-                  fetched.data() + p * page_bytes(), page_bytes());
-      slot.valid.Set(p);
+  if (in_place) {
+    slot.valid.SetAll();
+  } else {
+    for (size_t p = 0; p < slot.valid.size(); ++p) {
+      if (!slot.valid.Test(p)) {
+        std::memcpy(slot.data.get() + p * page_bytes(),
+                    fetched + p * page_bytes(), page_bytes());
+        slot.valid.Set(p);
+      }
     }
   }
   slot.ready_at = std::max(slot.ready_at, clock.now());
@@ -372,14 +388,13 @@ Status ChunkCache::FetchRun(sim::VirtualClock& clock, store::FileId file,
     return prefetch ? OkStatus() : reserved;
   }
 
-  std::vector<Slot> slots(absent.size());
+  std::vector<Slot> slots;
+  slots.reserve(absent.size());
   std::vector<store::StoreClient::ChunkFetch> fetches(absent.size());
   for (size_t i = 0; i < absent.size(); ++i) {
-    slots[i].data.assign(chunk_bytes(), 0);
-    slots[i].dirty = Bitmap(chunk_bytes() / page_bytes());
-    slots[i].valid = Bitmap(chunk_bytes() / page_bytes());
+    slots.push_back(NewSlot());
     fetches[i].index = absent[i];
-    fetches[i].out = slots[i].data;
+    fetches[i].out = bytes(slots[i]);
   }
 
   Status looked_up = client_.ReadChunks(bclock, file, fetches);
@@ -570,7 +585,7 @@ Status ChunkCache::Read(sim::VirtualClock& clock, store::FileId file,
     NVM_RETURN_IF_ERROR(EnsureValidLocked(clock, key, *slot,
                                           within / page_bytes(),
                                           (within + n - 1) / page_bytes()));
-    std::memcpy(out.data() + done, slot->data.data() + within, n);
+    std::memcpy(out.data() + done, slot->data.get() + within, n);
     lk.unlock();
 
     const PrefetchPlan plan = UpdateStreams(file, pos, n, index);
@@ -637,7 +652,7 @@ Status ChunkCache::Write(sim::VirtualClock& clock, store::FileId file,
             EnsureValidLocked(clock, key, *slot, last_page, last_page));
       }
     }
-    std::memcpy(slot->data.data() + within, in.data() + done, n);
+    std::memcpy(slot->data.get() + within, in.data() + done, n);
     for (size_t p = first_page; p <= last_page; ++p) {
       slot->dirty.Set(p);
       slot->valid.Set(p);

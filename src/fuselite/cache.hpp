@@ -188,7 +188,10 @@ class ChunkCache {
   // tail) is known without a map lookup.
   using LruList = std::list<std::pair<SlotKey, uint64_t>>;
   struct Slot {
-    std::vector<uint8_t> data;
+    // chunk_bytes of storage, allocated without zero-fill: bytes outside
+    // `valid` pages are unspecified and never leave the cache (reads fetch
+    // first, and write-back ships only dirty pages, which are valid).
+    std::unique_ptr<uint8_t[]> data;
     Bitmap dirty;  // pages modified locally, pending write-back
     Bitmap valid;  // pages whose contents are known (fetched or written)
     int64_t ready_at = 0;  // virtual time the chunk finished arriving
@@ -210,6 +213,12 @@ class ChunkCache {
     std::atomic<uint64_t> oldest_tick{~0ULL};
   };
 
+  // A fresh slot with uninitialised storage and no valid or dirty page.
+  Slot NewSlot() const;
+  std::span<uint8_t> bytes(Slot& slot) const {
+    return {slot.data.get(), chunk_bytes()};
+  }
+
   Shard& shard_for(const SlotKey& key) const {
     return const_cast<Shard&>(
         *shards_[HashPair64(key.file, key.index) & shard_mask_]);
@@ -223,8 +232,10 @@ class ChunkCache {
                                   const SlotKey& key);
   // Fetch the chunk from the store if any page in [first, last] is not
   // yet valid, filling only the invalid pages (dirty local pages are
-  // never clobbered).  Pages about to be fully overwritten need no fetch —
-  // that is how a page cache avoids read-modify-write on full-page writes.
+  // never clobbered).  A slot with no valid page is read in place; a
+  // partially valid one goes through a scratch chunk and a page merge.
+  // Pages about to be fully overwritten need no fetch — that is how a
+  // page cache avoids read-modify-write on full-page writes.
   // Runs with the slot's shard lock held; other shards stay available.
   Status EnsureValidLocked(sim::VirtualClock& clock, const SlotKey& key,
                            Slot& slot, size_t first_page, size_t last_page);

@@ -9,7 +9,7 @@
 namespace nvm {
 
 uint64_t PagePool::resident_pages() const {
-  std::lock_guard<std::mutex> lock(const_cast<std::mutex&>(mutex_));
+  std::lock_guard<std::mutex> lock(mutex_);
   return resident_;
 }
 

@@ -68,7 +68,7 @@ class PagePool {
   // All pager state on a node shares this one mutex: regions and pool
   // interleave arbitrarily during eviction, and a single lock makes that
   // trivially deadlock-free.
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::deque<Entry> fifo_;
   uint64_t capacity_pages_ = 0;
   uint64_t resident_ = 0;

@@ -163,8 +163,7 @@ double SsdDevice::write_amplification() const {
 }
 
 uint64_t SsdDevice::max_block_erases() const {
-  std::lock_guard<std::mutex> lock(
-      const_cast<std::mutex&>(wear_mutex_));
+  std::lock_guard<std::mutex> lock(wear_mutex_);
   if (wear_leveling_) {
     // The FTL remaps hot logical blocks over its whole touched footprint:
     // every physical block carries an equal share of the erases.

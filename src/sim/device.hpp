@@ -112,7 +112,7 @@ class SsdDevice {
   Counter host_bytes_written_;
   Counter host_bytes_read_;
   Counter device_bytes_programmed_;
-  std::mutex wear_mutex_;
+  mutable std::mutex wear_mutex_;
   std::unordered_map<uint64_t, uint64_t> block_program_bytes_;
   std::unordered_map<uint64_t, uint64_t> block_erases_;
   uint64_t total_erases_ = 0;

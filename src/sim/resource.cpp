@@ -1,5 +1,7 @@
 #include "sim/resource.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace nvm::sim {
@@ -14,37 +16,36 @@ int64_t Resource::Schedule(int64_t earliest_start_ns, int64_t duration_ns) {
   // Find the earliest gap of length >= duration starting at or after
   // earliest_start_ns.  Walk intervals that end after the candidate start.
   int64_t start = earliest_start_ns;
-  auto it = intervals_.upper_bound(start);
-  if (it != intervals_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second > start) start = prev->second;  // inside prev interval
+  auto it = std::upper_bound(
+      intervals_.begin(), intervals_.end(), start,
+      [](int64_t t, const Interval& iv) { return t < iv.start; });
+  if (it != intervals_.begin() && std::prev(it)->end > start) {
+    start = std::prev(it)->end;  // inside the previous interval
   }
-  while (it != intervals_.end() && it->first < start + duration_ns) {
+  while (it != intervals_.end() && it->start < start + duration_ns) {
     // Gap before *it is too small (or negative); jump past it.
-    start = it->second;
+    start = it->end;
     ++it;
   }
   const int64_t end = start + duration_ns;
   queue_delay_ns_ += start - earliest_start_ns;
 
-  // Insert [start, end), coalescing with touching neighbours to keep the
-  // interval map compact under streaming workloads.
-  int64_t new_start = start;
-  int64_t new_end = end;
-  auto lo = intervals_.lower_bound(new_start);
-  if (lo != intervals_.begin()) {
-    auto prev = std::prev(lo);
-    if (prev->second >= new_start) {
-      new_start = prev->first;
-      new_end = std::max(new_end, prev->second);
-      lo = prev;
-    }
+  // Insert [start, end) before `it`, coalescing with touching neighbours.
+  // The gap search guarantees no overlap, so at most the previous interval
+  // (ending at `start`) and `it` (starting at `end`) merge.
+  const bool join_prev =
+      it != intervals_.begin() && std::prev(it)->end >= start;
+  const bool join_next = it != intervals_.end() && it->start <= end;
+  if (join_prev && join_next) {
+    std::prev(it)->end = it->end;
+    intervals_.erase(it);
+  } else if (join_prev) {
+    std::prev(it)->end = end;
+  } else if (join_next) {
+    it->start = start;
+  } else {
+    intervals_.insert(it, {start, end});
   }
-  while (lo != intervals_.end() && lo->first <= new_end) {
-    new_end = std::max(new_end, lo->second);
-    lo = intervals_.erase(lo);
-  }
-  intervals_[new_start] = new_end;
   return start;
 }
 

@@ -11,9 +11,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "sim/clock.hpp"
@@ -50,9 +50,16 @@ class Resource {
  private:
   std::string name_;
   mutable std::mutex mutex_;
-  // start -> end of each busy interval; adjacent intervals are coalesced so
-  // the map stays small for streaming access patterns.
-  std::map<int64_t, int64_t> intervals_;
+  // Busy interval [start, end) of the timeline.
+  struct Interval {
+    int64_t start;
+    int64_t end;
+  };
+  // Disjoint busy intervals sorted by start, kept in one contiguous array.
+  // Touching intervals are coalesced, so streaming access keeps extending
+  // the last element in place; a backfill that opens a new interval shifts
+  // the elements after the gap it fills.
+  std::vector<Interval> intervals_;
   int64_t busy_ns_ = 0;
   int64_t queue_delay_ns_ = 0;
   uint64_t num_requests_ = 0;

@@ -298,7 +298,9 @@ Benefactor::MergeResult Benefactor::MergeDirtyPages(
     auto it = chunks_.find(key);
     if (it == chunks_.end()) {
       StoredChunk chunk;
-      chunk.data.assign(config_.chunk_bytes, 0);
+      // A fresh chunk reads as zeros outside its dirty pages; a full-image
+      // write overwrites every byte below, so it skips the zero-fill.
+      if (!full_image) chunk.data.assign(config_.chunk_bytes, 0);
       chunk.ssd_offset = AllocateOffset();
       it = chunks_.emplace(key, std::move(chunk)).first;
     }
@@ -319,16 +321,20 @@ Benefactor::MergeResult Benefactor::MergeDirtyPages(
       // bytes) costs more than rehashing the merged image once.
       const bool derive = verified_base && 2 * dirty_pages <= dirty.size();
       uint32_t merged_crc = chunk.crc;
-      dirty.ForEachSet([&](size_t page) {
-        const uint64_t off = page * config_.page_bytes;
-        if (derive) {
-          merged_crc = Crc32cUpdate(merged_crc, chunk.data.size(), off,
-                                    chunk.data.data() + off, data.data() + off,
-                                    config_.page_bytes);
-        }
-        std::memcpy(chunk.data.data() + off, data.data() + off,
-                    config_.page_bytes);
-      });
+      if (full_image) {
+        chunk.data.assign(data.begin(), data.end());
+      } else {
+        dirty.ForEachSet([&](size_t page) {
+          const uint64_t off = page * config_.page_bytes;
+          if (derive) {
+            merged_crc = Crc32cUpdate(merged_crc, chunk.data.size(), off,
+                                      chunk.data.data() + off,
+                                      data.data() + off, config_.page_bytes);
+          }
+          std::memcpy(chunk.data.data() + off, data.data() + off,
+                      config_.page_bytes);
+        });
+      }
       result.pages_written = dirty_pages;
       if (config_.integrity() && dirty_pages > 0) {
         if (crc != nullptr && full_image) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -204,7 +206,11 @@ Status StoreClient::ReadStripe(sim::VirtualClock& clock, FileId id,
     if (loc.benefactors[pos] >= 0) candidates.push_back(pos);
   }
 
-  std::vector<std::vector<uint8_t>> frags(nf);
+  // Data fragments land straight in their slice of `out` (the systematic
+  // fast path copies nothing twice); only parity fetched by a degraded
+  // round gets a buffer of its own.
+  std::vector<std::vector<uint8_t>> parity(nf - k);
+  std::vector<char> have(nf, 0);
   size_t good = 0;
   size_t next = 0;
   bool saw_corrupt = false;
@@ -226,9 +232,15 @@ Status StoreClient::ReadStripe(sim::VirtualClock& clock, FileId id,
       sim::VirtualClock frag_clock(round_start);
       cluster_.network().Transfer(frag_clock, local_node_, b->node_id(),
                                   cfg.meta_request_bytes);
-      std::vector<uint8_t> buf(fb);
+      std::span<uint8_t> dst;
+      if (pos < k) {
+        dst = out.subspan(pos * fb, fb);
+      } else {
+        parity[pos - k].resize(fb);
+        dst = parity[pos - k];
+      }
       bool sparse = false;
-      Status s = b->ReadFragment(frag_clock, loc.key, buf, &sparse, tenant_);
+      Status s = b->ReadFragment(frag_clock, loc.key, dst, &sparse, tenant_);
       if (s.ok()) {
         // A hole costs only the "no such fragment" reply (it reads as
         // zeros — a never-written region of the stripe).
@@ -236,7 +248,7 @@ Status StoreClient::ReadStripe(sim::VirtualClock& clock, FileId id,
             frag_clock, b->node_id(), local_node_,
             sparse ? cfg.meta_response_bytes : fb);
         if (!sparse) bytes_fetched_.Add(fb);
-        frags[pos] = std::move(buf);
+        have[pos] = 1;
         ++good;
       } else {
         last = s;
@@ -269,21 +281,31 @@ Status StoreClient::ReadStripe(sim::VirtualClock& clock, FileId id,
   }
   if (good < k) return last;
 
-  bool data_complete = true;
+  if (std::all_of(have.begin(), have.begin() + k,
+                  [](char h) { return h != 0; })) {
+    return OkStatus();
+  }
+  // Degraded read: any k of the k+m fragments reconstruct the chunk.  The
+  // matrix solve is charged as one chunk through the encode engine.
+  ec_degraded_reads_.Add(1);
+  manager_.NoteEcDegradedRead();
+  clock.Advance(cfg.ec_encode_ns(cfg.chunk_bytes));
+  std::vector<std::vector<uint8_t>> frags(nf);
+  for (size_t pos = 0; pos < nf; ++pos) {
+    if (!have[pos]) continue;
+    if (pos < k) {
+      const auto slice = out.subspan(pos * fb, fb);
+      frags[pos].assign(slice.begin(), slice.end());
+    } else {
+      frags[pos] = std::move(parity[pos - k]);
+    }
+  }
+  ErasureCodec codec(cfg.ec_k, cfg.ec_m);
+  NVM_CHECK(codec.Reconstruct(frags),
+            "k fragments must reconstruct the stripe");
   for (size_t pos = 0; pos < k; ++pos) {
-    if (frags[pos].empty()) data_complete = false;
+    if (!have[pos]) std::memcpy(out.data() + pos * fb, frags[pos].data(), fb);
   }
-  if (!data_complete) {
-    // Degraded read: any k of the k+m fragments reconstruct the chunk.
-    // The matrix solve is charged as one chunk through the encode engine.
-    ec_degraded_reads_.Add(1);
-    manager_.NoteEcDegradedRead();
-    clock.Advance(cfg.ec_encode_ns(cfg.chunk_bytes));
-    ErasureCodec codec(cfg.ec_k, cfg.ec_m);
-    NVM_CHECK(codec.Reconstruct(frags),
-              "k fragments must reconstruct the stripe");
-  }
-  ErasureCodec::Assemble(frags, cfg.ec_k, out);
   return OkStatus();
 }
 
@@ -474,13 +496,18 @@ Status StoreClient::WriteChunkPagesInner(sim::VirtualClock& clock, FileId id,
     return WriteStripe(clock, id, chunk_index, dirty_pages, chunk_image);
   }
 
-  // Flush-time checksum: computed once over the full image and charged to
-  // the writer before the metadata round-trip (the batched path charges at
-  // the same spot, so a batch of one stays time-identical to this path).
-  uint32_t crc = 0;
+  // Flush-time checksum, charged to the writer before the metadata
+  // round-trip (the batched path charges at the same spot, so a batch of
+  // one stays time-identical to this path).  Only a full-image write
+  // consumes it — replicas store it verbatim — so a partial write skips
+  // the host hash: its authority is the CRC the replica stores after
+  // merging, and the unfaulted pages of the image are unspecified.
+  std::optional<uint32_t> crc;
   const bool with_crc = cfg.integrity();
   if (with_crc) {
-    crc = Crc32c(chunk_image.data(), chunk_image.size());
+    if (dirty_pages.All()) {
+      crc = Crc32c(chunk_image.data(), chunk_image.size());
+    }
     clock.Advance(cfg.checksum_ns(cfg.chunk_bytes));
   }
   ChargeMetaRoundTrip(clock);
@@ -500,13 +527,13 @@ Status StoreClient::WriteChunkPagesInner(sim::VirtualClock& clock, FileId id,
   // manager may record — can differ from the client's in-memory image
   // (whose clean pages may never have been faulted in).  The authority is
   // the CRC the first successful replica actually stored.
-  uint32_t authority = crc;
+  uint32_t authority = 0;
   Status last = Unavailable("no replicas");
   for (int bid : loc.benefactors) {
     sim::VirtualClock replica_clock(t0);
-    uint32_t replica_stored = crc;
+    uint32_t replica_stored = 0;
     Status s = WriteReplica(replica_clock, loc, bid, dirty_pages, chunk_image,
-                            with_crc ? &crc : nullptr,
+                            crc ? &*crc : nullptr,
                             with_crc ? &replica_stored : nullptr);
     if (s.ok()) {
       if (ok_replicas == 0) authority = replica_stored;
@@ -578,24 +605,28 @@ Status StoreClient::WriteStripe(sim::VirtualClock& clock, FileId id,
   // dirty flush first reads the chunk's current bytes (degraded-capable)
   // and overlays the dirty pages — the classic erasure read-modify-write
   // penalty, paid serially on the writer's clock.
-  std::vector<uint8_t> merged;
+  std::unique_ptr<uint8_t[]> merged;
   std::span<const uint8_t> full = chunk_image;
   if (dirty_pages.PopCount() < cfg.pages_per_chunk()) {
-    merged.resize(cfg.chunk_bytes);
-    NVM_RETURN_IF_ERROR(ReadChunkInner(clock, id, chunk_index, merged));
+    merged = std::make_unique_for_overwrite<uint8_t[]>(cfg.chunk_bytes);
+    NVM_RETURN_IF_ERROR(ReadChunkInner(clock, id, chunk_index,
+                                       {merged.get(), cfg.chunk_bytes}));
     dirty_pages.ForEachSet([&](size_t p) {
-      std::memcpy(merged.data() + p * cfg.page_bytes,
+      std::memcpy(merged.get() + p * cfg.page_bytes,
                   chunk_image.data() + p * cfg.page_bytes, cfg.page_bytes);
     });
-    full = merged;
+    full = {merged.get(), cfg.chunk_bytes};
   }
 
   // Encode k data + m parity fragments (the matrix math is real; the CPU
   // cost is one chunk through the encode engine) and checksum the full
   // image plus each fragment — the positional checksums are what degraded
-  // reads and repair verify survivors against.
+  // reads and repair verify survivors against.  Data fragments are views
+  // of the image itself; only parity is materialised.
   ErasureCodec codec(cfg.ec_k, cfg.ec_m);
-  std::vector<std::vector<uint8_t>> frags = codec.Encode(full);
+  std::vector<std::span<const uint8_t>> frags = codec.DataFragments(full);
+  const std::vector<std::vector<uint8_t>> parity = codec.EncodeParity(frags);
+  frags.insert(frags.end(), parity.begin(), parity.end());
   clock.Advance(cfg.ec_encode_ns(cfg.chunk_bytes));
   const bool with_crc = cfg.integrity();
   uint32_t crc = 0;
@@ -603,7 +634,7 @@ Status StoreClient::WriteStripe(sim::VirtualClock& clock, FileId id,
   if (with_crc) {
     crc = Crc32c(full.data(), full.size());
     frag_crcs.reserve(nf);
-    for (const std::vector<uint8_t>& f : frags) {
+    for (std::span<const uint8_t> f : frags) {
       frag_crcs.push_back(Crc32c(f.data(), f.size()));
     }
     clock.Advance(cfg.checksum_ns(cfg.chunk_bytes) +
@@ -687,7 +718,7 @@ Status StoreClient::WriteRun(sim::VirtualClock& clock,
                              std::span<const WriteLocation> locs,
                              std::span<const ChunkWrite> writes,
                              std::span<const size_t> active,
-                             std::span<const uint32_t> crcs,
+                             std::span<const std::optional<uint32_t>> crcs,
                              std::span<uint32_t> stored_crcs) {
   const StoreConfig& cfg = manager_.config();
   Benefactor* b = manager_.benefactor(run.benefactor);
@@ -705,8 +736,8 @@ Status StoreClient::WriteRun(sim::VirtualClock& clock,
     item.needs_clone = locs[j].needs_clone;
     item.clone_from = locs[j].clone_from;
     if (!crcs.empty()) {
-      item.has_crc = true;
-      item.crc = crcs[j];
+      item.has_crc = crcs[j].has_value();
+      item.crc = crcs[j].value_or(0);
       item.stored_crc = stored_crcs.empty() ? nullptr : &stored_crcs[j];
     }
     items.push_back(item);
@@ -779,12 +810,14 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
 
   // Flush-time checksums for the whole window, charged before the batched
   // metadata round-trip (mirrors WriteChunkPages, so a batch of one stays
-  // time-identical to the legacy path).
+  // time-identical to the legacy path).  As there, only full-image items
+  // are hashed on the host (and carry a value); every item is charged.
   const bool with_crc = cfg.integrity();
-  std::vector<uint32_t> crcs(with_crc ? active.size() : 0, 0);
+  std::vector<std::optional<uint32_t>> crcs(with_crc ? active.size() : 0);
   if (with_crc) {
     for (size_t j = 0; j < active.size(); ++j) {
-      crcs[j] = Crc32c(writes[active[j]].image.data(), cfg.chunk_bytes);
+      const ChunkWrite& w = writes[active[j]];
+      if (w.dirty->All()) crcs[j] = Crc32c(w.image.data(), cfg.chunk_bytes);
     }
     clock.Advance(cfg.checksum_ns(active.size() * cfg.chunk_bytes));
   }
@@ -807,19 +840,18 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
   std::vector<char> corrupt_replica(active.size(), 0);
   std::vector<Status> last_err(active.size(), OkStatus());
   std::vector<int64_t> done(active.size(), t0);
-  // Authoritative checksums to record at CompleteWrites: seeded with the
-  // client's full-image values, overwritten per item by the CRC the first
-  // successful replica actually stored (a partial-dirty merge can
-  // legitimately differ from the client image when clean pages were never
-  // faulted in).
-  std::vector<uint32_t> authority(crcs.begin(), crcs.end());
+  // Authoritative checksums to record at CompleteWrites: per item, the CRC
+  // the first successful replica actually stored (the client's value on a
+  // full-image write; on a partial-dirty merge it can legitimately differ
+  // from the client image when clean pages were never faulted in).
+  std::vector<uint32_t> authority(crcs.size(), 0);
 
   // One streamed run per benefactor — every replica holder gets its own
   // run — each on a clock forked at the post-prepare time, so runs (and
   // with them the replicas of each chunk) overlap.
   for (const BenefactorRun& run : Manager::GroupByBenefactor(locs)) {
     sim::VirtualClock run_clock(t0);
-    std::vector<uint32_t> run_stored(crcs.begin(), crcs.end());
+    std::vector<uint32_t> run_stored(crcs.size(), 0);
     Status s = WriteRun(run_clock, run, locs, writes, active, crcs,
                         run_stored);
     if (s.ok()) {
@@ -845,10 +877,11 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
     for (size_t j : run.items) {
       const ChunkWrite& w = writes[active[j]];
       sim::VirtualClock fallback(t0);
-      uint32_t replica_stored = with_crc ? crcs[j] : 0;
-      Status rs = WriteReplica(fallback, locs[j], run.benefactor, *w.dirty,
-                               w.image, with_crc ? &crcs[j] : nullptr,
-                               with_crc ? &replica_stored : nullptr);
+      uint32_t replica_stored = 0;
+      Status rs = WriteReplica(
+          fallback, locs[j], run.benefactor, *w.dirty, w.image,
+          with_crc && crcs[j] ? &*crcs[j] : nullptr,
+          with_crc ? &replica_stored : nullptr);
       if (rs.ok()) {
         if (ok_replicas[j] == 0) authority[j] = replica_stored;
         ++ok_replicas[j];

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -200,9 +201,10 @@ class StoreClient {
   // pages + header, device program, response) against one benefactor on
   // the given clock.  Does not touch counters or the location cache.
   // `crc` is the flush-time CRC32C of the full chunk image (nullptr when
-  // integrity is off); `stored_crc` (when non-null) returns the CRC the
-  // replica actually stored — the merged-image value on a partial write —
-  // which is what CompleteWrite must record as authoritative.
+  // integrity is off or the write is partial); `stored_crc` (when
+  // non-null) returns the CRC the replica actually stored — the
+  // merged-image value on a partial write — which is what CompleteWrite
+  // must record as authoritative.
   Status WriteReplica(sim::VirtualClock& clock, const WriteLocation& loc,
                       int bid, const Bitmap& dirty_pages,
                       std::span<const uint8_t> chunk_image,
@@ -210,15 +212,16 @@ class StoreClient {
   // One streamed WriteChunkRun against run.benefactor covering the items
   // named by run.items (indices into locs/active).  All-or-nothing: on
   // failure the caller retries every item per chunk — nothing a failed
-  // run streamed counts.  `crcs` (parallel to locs/active) carries the
-  // flush-time checksums; empty when integrity is off.  `stored_crcs`
+  // run streamed counts.  `crcs` (parallel to locs/active; empty when
+  // integrity is off) carries the flush-time checksum of each full-image
+  // item and no value for a partial one.  `stored_crcs`
   // (parallel to locs/active; empty when integrity is off) receives, for
   // each item the run covers, the CRC this replica actually stored.
   Status WriteRun(sim::VirtualClock& clock, const BenefactorRun& run,
                   std::span<const WriteLocation> locs,
                   std::span<const ChunkWrite> writes,
                   std::span<const size_t> active,
-                  std::span<const uint32_t> crcs,
+                  std::span<const std::optional<uint32_t>> crcs,
                   std::span<uint32_t> stored_crcs);
   // One read attempt against a resolved erasure stripe: the k data
   // fragments are fetched in parallel (clocks forked at the issue time,

@@ -196,34 +196,38 @@ uint8_t ErasureCodec::ParityCoeff(uint32_t row, uint32_t col) const {
   return parity_[row * k_ + col];
 }
 
-std::vector<std::vector<uint8_t>> ErasureCodec::Encode(
+std::vector<std::span<const uint8_t>> ErasureCodec::DataFragments(
     std::span<const uint8_t> chunk) const {
   NVM_CHECK(chunk.size() % k_ == 0, "chunk not divisible into k fragments");
   const size_t frag = chunk.size() / k_;
-  std::vector<std::vector<uint8_t>> frags(fragments());
+  std::vector<std::span<const uint8_t>> data;
+  data.reserve(k_);
   for (uint32_t i = 0; i < k_; ++i) {
-    frags[i].assign(chunk.begin() + i * frag, chunk.begin() + (i + 1) * frag);
+    data.push_back(chunk.subspan(i * frag, frag));
   }
-  for (uint32_t r = 0; r < m_; ++r) {
-    frags[k_ + r].assign(frag, 0);
-    for (uint32_t c = 0; c < k_; ++c) {
-      mul_acc_(parity_[r * k_ + c], frags[c], frags[k_ + r]);
-    }
+  return data;
+}
+
+void ErasureCodec::ParityRow(uint32_t r,
+                             std::span<const std::span<const uint8_t>> data,
+                             std::span<uint8_t> out) const {
+  std::memset(out.data(), 0, out.size());
+  for (uint32_t c = 0; c < k_; ++c) {
+    mul_acc_(parity_[r * k_ + c], data[c], out);
   }
-  return frags;
 }
 
 std::vector<std::vector<uint8_t>> ErasureCodec::EncodeParity(
-    std::span<const std::vector<uint8_t>> data_frags) const {
+    std::span<const std::span<const uint8_t>> data_frags) const {
   NVM_CHECK(data_frags.size() == k_, "EncodeParity needs exactly k fragments");
   const size_t frag = data_frags[0].size();
+  for (const auto& d : data_frags) {
+    NVM_CHECK(d.size() == frag, "ragged data fragments");
+  }
   std::vector<std::vector<uint8_t>> parity(m_);
   for (uint32_t r = 0; r < m_; ++r) {
-    parity[r].assign(frag, 0);
-    for (uint32_t c = 0; c < k_; ++c) {
-      NVM_CHECK(data_frags[c].size() == frag, "ragged data fragments");
-      mul_acc_(parity_[r * k_ + c], data_frags[c], parity[r]);
-    }
+    parity[r].resize(frag);
+    ParityRow(r, data_frags, parity[r]);
   }
   return parity;
 }
@@ -265,23 +269,14 @@ bool ErasureCodec::Reconstruct(std::vector<std::vector<uint8_t>>& frags) const {
       }
     }
   }
+  const std::vector<std::span<const uint8_t>> data(frags.begin(),
+                                                   frags.begin() + k_);
   for (uint32_t r = 0; r < m_; ++r) {
     if (!frags[k_ + r].empty()) continue;
-    frags[k_ + r].assign(frag, 0);
-    for (uint32_t c = 0; c < k_; ++c) {
-      mul_acc_(parity_[r * k_ + c], frags[c], frags[k_ + r]);
-    }
+    frags[k_ + r].resize(frag);
+    ParityRow(r, data, frags[k_ + r]);
   }
   return true;
-}
-
-void ErasureCodec::Assemble(std::span<const std::vector<uint8_t>> frags,
-                            uint32_t k, std::span<uint8_t> out) {
-  const size_t frag = out.size() / k;
-  for (uint32_t i = 0; i < k; ++i) {
-    NVM_CHECK(frags[i].size() == frag, "assemble: fragment size mismatch");
-    std::memcpy(out.data() + i * frag, frags[i].data(), frag);
-  }
 }
 
 }  // namespace nvm::store

@@ -65,16 +65,16 @@ class ErasureCodec {
   // can cross-check the encode against an independent reference.
   uint8_t ParityCoeff(uint32_t row, uint32_t col) const;
 
-  // Split `chunk` (size divisible by k) into k data fragments and append
-  // m parity fragments.  Returns k+m fragments of chunk.size()/k bytes;
-  // fragment i < k is the i-th contiguous slice of the chunk (systematic
+  // The k data fragments of `chunk` (size divisible by k) as views into
+  // it: fragment i is the i-th contiguous slice of the chunk (systematic
   // code: intact data reads never touch the field arithmetic).
-  std::vector<std::vector<uint8_t>> Encode(
+  std::vector<std::span<const uint8_t>> DataFragments(
       std::span<const uint8_t> chunk) const;
 
-  // Encode only the parity fragments from k complete data fragments.
+  // Encode the m parity fragments of k equal-sized data fragments.  Every
+  // encode and every parity rebuild runs through this one kernel path.
   std::vector<std::vector<uint8_t>> EncodeParity(
-      std::span<const std::vector<uint8_t>> data_frags) const;
+      std::span<const std::span<const uint8_t>> data_frags) const;
 
   // Rebuild every missing fragment in place.  `frags` has k+m slots;
   // slot i is either a fragment of equal size or empty (missing).  At
@@ -82,11 +82,11 @@ class ErasureCodec {
   // fragments survive (the chunk is lost).
   bool Reconstruct(std::vector<std::vector<uint8_t>>& frags) const;
 
-  // Concatenate the k data fragments back into a chunk image.
-  static void Assemble(std::span<const std::vector<uint8_t>> frags,
-                       uint32_t k, std::span<uint8_t> out);
-
  private:
+  // Parity row r of the data fragments into `out` (overwritten).
+  void ParityRow(uint32_t r, std::span<const std::span<const uint8_t>> data,
+                 std::span<uint8_t> out) const;
+
   uint32_t k_;
   uint32_t m_;
   gf256::MulAccFn mul_acc_;

@@ -69,9 +69,10 @@ struct ChunkWriteItem {
   std::span<const uint8_t> data;
   bool needs_clone = false;
   ChunkKey clone_from;
-  // Client-computed CRC32C of the full chunk image (valid when `has_crc`);
-  // the benefactor stores it with the chunk — or recomputes over the
-  // merged image when the dirty set covers only part of the chunk.
+  // Client-computed CRC32C of the full chunk image (valid when `has_crc`,
+  // which the client sets only for a full-image write); the benefactor
+  // stores it with the chunk — or recomputes over the merged image when
+  // the dirty set covers only part of the chunk.
   bool has_crc = false;
   uint32_t crc = 0;
   // Out (rides the run's ack): the CRC the benefactor actually stored.

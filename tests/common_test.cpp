@@ -218,8 +218,12 @@ TEST(BitmapTest, FindNextSet) {
 
 TEST(BitmapTest, SetAllRespectsTail) {
   Bitmap bm(67);
+  EXPECT_FALSE(bm.All());
   bm.SetAll();
   EXPECT_EQ(bm.PopCount(), 67u);
+  EXPECT_TRUE(bm.All());
+  bm.Clear(66);
+  EXPECT_FALSE(bm.All());
   bm.ClearAll();
   EXPECT_TRUE(bm.None());
 }

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <functional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -77,6 +78,27 @@ std::vector<uint8_t> Pattern(uint64_t n, uint64_t seed) {
   return v;
 }
 
+// All k+m fragments of `chunk` as owned vectors: the codec's data views
+// copied out, followed by its parity.
+std::vector<std::vector<uint8_t>> EncodeAll(const ErasureCodec& codec,
+                                            std::span<const uint8_t> chunk) {
+  const auto data = codec.DataFragments(chunk);
+  std::vector<std::vector<uint8_t>> frags;
+  for (const auto& d : data) frags.emplace_back(d.begin(), d.end());
+  for (auto& p : codec.EncodeParity(data)) frags.push_back(std::move(p));
+  return frags;
+}
+
+// The k data fragments concatenated back into the chunk image.
+std::vector<uint8_t> AssembleData(
+    const std::vector<std::vector<uint8_t>>& frags, uint32_t k) {
+  std::vector<uint8_t> out;
+  for (uint32_t i = 0; i < k; ++i) {
+    out.insert(out.end(), frags[i].begin(), frags[i].end());
+  }
+  return out;
+}
+
 TEST(Gf256Test, DispatchedMulAccMatchesScalarForEveryCoefficient) {
   // Lengths straddle the 32-byte vector width (and an odd tail after a
   // long vector run); dst starts non-zero so the accumulate is checked.
@@ -109,7 +131,7 @@ TEST(ErasureCodecTest, ParityMatchesNaiveReference) {
   const uint32_t k = 4, m = 2;
   ErasureCodec codec(k, m);
   const auto chunk = Pattern(k * 64, 11);
-  const auto frags = codec.Encode(chunk);
+  const auto frags = EncodeAll(codec, chunk);
   ASSERT_EQ(frags.size(), k + m);
   for (uint32_t r = 0; r < m; ++r) {
     for (size_t byte = 0; byte < 64; ++byte) {
@@ -134,7 +156,7 @@ TEST(ErasureCodecTest, AnyTwoLossesReconstructByteExact) {
   const uint32_t k = 4, m = 2;
   ErasureCodec codec(k, m);
   const auto chunk = Pattern(k * 512, 12);
-  const auto encoded = codec.Encode(chunk);
+  const auto encoded = EncodeAll(codec, chunk);
   std::vector<uint8_t> out(chunk.size());
   for (uint32_t a = 0; a < k + m; ++a) {
     for (uint32_t b = a + 1; b < k + m; ++b) {
@@ -146,9 +168,7 @@ TEST(ErasureCodecTest, AnyTwoLossesReconstructByteExact) {
         ASSERT_EQ(frags[f], encoded[f]) << "loss " << a << "," << b
                                         << " fragment " << f;
       }
-      ErasureCodec::Assemble(frags, k, out);
-      ASSERT_EQ(0, std::memcmp(out.data(), chunk.data(), chunk.size()))
-          << "loss " << a << "," << b;
+      ASSERT_EQ(AssembleData(frags, k), chunk) << "loss " << a << "," << b;
     }
   }
   // m+1 losses are unrecoverable and must say so, not fabricate bytes.
@@ -183,10 +203,10 @@ TEST(ErasureCodecTest, DispatchedKernelMatchesScalarCodec) {
     const ErasureCodec scalar(k, m, &store::gf256::MulAccScalar);
     const size_t frag = 4096 + 37;  // not a multiple of the vector width
     const auto chunk = Pattern(k * frag, 40 + k);
-    const auto encoded = fast.Encode(chunk);
-    ASSERT_EQ(encoded, scalar.Encode(chunk)) << "RS(" << k << "," << m << ")";
-    const std::vector<std::vector<uint8_t>> data(encoded.begin(),
-                                                 encoded.begin() + k);
+    const auto encoded = EncodeAll(fast, chunk);
+    ASSERT_EQ(encoded, EncodeAll(scalar, chunk))
+        << "RS(" << k << "," << m << ")";
+    const auto data = fast.DataFragments(chunk);
     const auto parity = fast.EncodeParity(data);
     ASSERT_EQ(parity, scalar.EncodeParity(data));
     ASSERT_TRUE(std::equal(parity.begin(), parity.end(), encoded.begin() + k));
@@ -203,21 +223,62 @@ TEST(ErasureCodecTest, DispatchedKernelMatchesScalarCodec) {
   }
 }
 
+// Oracle for the span-based encode: a plain copying encode — data slices
+// copied out, each parity row zeroed and accumulated with the scalar
+// kernel.
+std::vector<std::vector<uint8_t>> ReferenceEncode(
+    const ErasureCodec& codec, const std::vector<uint8_t>& chunk) {
+  const uint32_t k = codec.k();
+  const size_t frag = chunk.size() / k;
+  std::vector<std::vector<uint8_t>> frags(codec.fragments());
+  for (uint32_t i = 0; i < k; ++i) {
+    frags[i].assign(chunk.begin() + i * frag, chunk.begin() + (i + 1) * frag);
+  }
+  for (uint32_t r = 0; r < codec.m(); ++r) {
+    frags[k + r].assign(frag, 0);
+    for (uint32_t c = 0; c < k; ++c) {
+      store::gf256::MulAccScalar(codec.ParityCoeff(r, c), frags[c],
+                                 frags[k + r]);
+    }
+  }
+  return frags;
+}
+
+TEST(ErasureCodecTest, SpanEncodeParityMatchesCopyingEncode) {
+  // Data fragments are views into the chunk (no copy), and the parity the
+  // span-taking EncodeParity computes from them is byte-identical to the
+  // copying reference.
+  for (auto [k, m] : {std::pair<uint32_t, uint32_t>{4, 2}, {6, 3}, {10, 4}}) {
+    SCOPED_TRACE(::testing::Message() << "RS(" << k << "," << m << ")");
+    const ErasureCodec codec(k, m);
+    const size_t frag = 1024 + 13;
+    const auto chunk = Pattern(k * frag, 60 + k);
+    const auto want = ReferenceEncode(codec, chunk);
+    const auto data = codec.DataFragments(chunk);
+    ASSERT_EQ(data.size(), k);
+    for (uint32_t i = 0; i < k; ++i) {
+      EXPECT_EQ(data[i].data(), chunk.data() + i * frag);
+      EXPECT_EQ(data[i].size(), frag);
+    }
+    const auto parity = codec.EncodeParity(data);
+    ASSERT_EQ(parity.size(), m);
+    for (uint32_t r = 0; r < m; ++r) EXPECT_EQ(parity[r], want[k + r]);
+  }
+}
+
 TEST(ErasureCodecTest, WideGeometryRoundTrips) {
   // A non-RAID shape exercises the general Cauchy solve.
   const uint32_t k = 10, m = 4;
   ErasureCodec codec(k, m);
   const auto chunk = Pattern(k * 128, 13);
-  auto frags = codec.Encode(chunk);
+  auto frags = EncodeAll(codec, chunk);
   // Drop m scattered fragments, parity and data mixed.
   frags[1].clear();
   frags[7].clear();
   frags[10].clear();
   frags[13].clear();
   ASSERT_TRUE(codec.Reconstruct(frags));
-  std::vector<uint8_t> out(chunk.size());
-  ErasureCodec::Assemble(frags, k, out);
-  EXPECT_EQ(0, std::memcmp(out.data(), chunk.data(), chunk.size()));
+  EXPECT_EQ(AssembleData(frags, k), chunk);
 }
 
 // ---- store rig ----
@@ -344,6 +405,48 @@ TEST(ErasureStoreTest, DegradedReadSurvivesAnyTwoFragmentLosses) {
   EXPECT_GT(c.ec_degraded_reads(), 0u);
   EXPECT_EQ(rig.store->manager().ec_degraded_reads(), c.ec_degraded_reads());
   EXPECT_EQ(rig.store->manager().lost_chunks(), 0u);
+}
+
+TEST(ErasureStoreTest, InPlaceStripeReadMatchesReferenceForEveryErasure) {
+  // The stripe read lands data fragments straight in the caller's buffer.
+  // For the intact stripe and every pattern of up to m lost fragments it
+  // must return exactly the bytes written.  The first lost position is
+  // corrupted rather than killed: its rotten bytes reach the buffer before
+  // the checksum rejects them, and the reconstruction must overwrite them.
+  const uint32_t k = 4, m = 2;
+  const auto data = Pattern(2 * kChunk, 24);
+  const std::vector<uint8_t> want(data.begin(), data.begin() + kChunk);
+  auto patterns = ErasurePatterns(k + m, m);
+  patterns.insert(patterns.begin(), std::vector<uint32_t>{});  // intact
+  for (const auto& lost : patterns) {
+    SCOPED_TRACE(::testing::Message()
+                 << "lost " << ::testing::PrintToString(lost));
+    Rig rig(6, [](store::StoreConfig& cfg) {
+      cfg.heartbeat_period_ms = 1'000'000;
+      cfg.scrub_period_ms = 1'000'000;
+    });
+    store::StoreClient& c = rig.store->ClientForNode(0);
+    sim::VirtualClock clock(0);
+    const store::FileId id = WriteStoreFile(c, "/inplace", 2, data, clock);
+    auto loc = rig.store->manager().GetReadLocation(clock, id, 0);
+    ASSERT_TRUE(loc.ok());
+    ASSERT_EQ(loc->benefactors.size(), k + m);
+    for (size_t i = 0; i < lost.size(); ++i) {
+      auto& b =
+          rig.store->benefactor(static_cast<size_t>(loc->benefactors[lost[i]]));
+      if (i == 0) {
+        ASSERT_TRUE(b.CorruptChunk(loc->key, 100, 0x21).ok());
+      } else {
+        b.Kill();
+      }
+    }
+    std::vector<uint8_t> got(kChunk, 0xEE);
+    ASSERT_TRUE(c.ReadChunk(clock, id, 0, got).ok());
+    EXPECT_EQ(got, want);
+    const bool data_lost = std::any_of(lost.begin(), lost.end(),
+                                       [&](uint32_t p) { return p < k; });
+    EXPECT_EQ(c.ec_degraded_reads(), data_lost ? 1u : 0u);
+  }
 }
 
 TEST(ErasureStoreTest, PartialDirtyWriteMergesOverDegradedStripe) {

@@ -10,6 +10,7 @@
 
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
+#include "fuselite/cache.hpp"
 #include "nvmalloc/runtime.hpp"
 #include "sim/clock.hpp"
 #include "workloads/matmul.hpp"
@@ -1067,6 +1068,174 @@ TEST(MergeCrcTest, PartialMergeChargesTwoChunkChecksums) {
           << dirty.PopCount();
     }
     EXPECT_EQ(elapsed(1.0, rpc, all), elapsed(4.0, rpc, all));
+  }
+}
+
+// ---- write-back from a cache slot whose clean pages were never fetched ----
+
+// One flush of chunk 0 of a two-chunk file through a one-slot chunk cache.
+// Chunk 1 is read first, so the slot chunk 0 then gets may reuse its freed
+// storage: the pages chunk 0 never fetched hold stale bytes, not zeros.
+// `pages` lists the page indices written blind (full pages, no fetch);
+// every page listed is dirty at the flush.
+struct SlotFlush {
+  std::vector<uint8_t> stored;  // expected store image of chunk 0
+  std::vector<uint8_t> image;   // the bytes the cache wrote
+  int64_t flush_ns = 0;         // virtual time of the Flush() call
+  store::ChunkKey key;
+  std::vector<int> benefactors;
+};
+
+SlotFlush FlushFromUnfetchedSlot(Rig& rig, const std::vector<size_t>& pages) {
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  const uint64_t page = c.config().page_bytes;
+  sim::VirtualClock clock(0);
+  const auto base = Pattern(2 * kChunk, 80);
+  const store::FileId id = WriteStoreFile(c, "/slot", 2, base, clock);
+
+  fuselite::FuseliteConfig fc;
+  fc.cache_bytes = kChunk;  // one slot
+  fc.readahead = false;
+  fuselite::ChunkCache cache(c, fc);
+  std::vector<uint8_t> chunk1(kChunk);
+  EXPECT_TRUE(cache.Read(clock, id, kChunk, chunk1).ok());
+
+  SlotFlush out;
+  out.stored.assign(base.begin(), base.begin() + kChunk);
+  out.image = Pattern(kChunk, 81);
+  for (size_t p : pages) {
+    EXPECT_TRUE(
+        cache.Write(clock, id, p * page, {out.image.data() + p * page, page})
+            .ok());
+    std::memcpy(out.stored.data() + p * page, out.image.data() + p * page,
+                page);
+  }
+  EXPECT_EQ(cache.traffic().fetched_chunks.load(), 1u);  // chunk 1 only
+  const int64_t t0 = clock.now();
+  EXPECT_TRUE(cache.Flush(clock, id).ok());
+  out.flush_ns = clock.now() - t0;
+
+  auto loc = rig.store->manager().GetReadLocation(clock, id, 0);
+  EXPECT_TRUE(loc.ok());
+  out.key = loc->key;
+  out.benefactors = loc->benefactors;
+  return out;
+}
+
+// Every page index of a chunk: a flush with all of them dirty is full-image.
+std::vector<size_t> AllPages() {
+  std::vector<size_t> all(kChunk / store::StoreConfig{}.page_bytes);
+  for (size_t p = 0; p < all.size(); ++p) all[p] = p;
+  return all;
+}
+
+TEST(SlotFlushTest, PartialFlushFromUnfetchedSlotStoresBasePlusNewPages) {
+  // The slot's never-fetched pages are unspecified; only the dirty pages
+  // may reach the store, and the checksum the manager records must be the
+  // one of the merged blob each replica holds.  Both write paths — the
+  // per-chunk WriteChunkPages and the batched write run — at replication
+  // 1 and 2.
+  for (bool batched : {false, true}) {
+    for (int replication : {1, 2}) {
+      SCOPED_TRACE(::testing::Message() << "batched " << batched
+                                        << " replication " << replication);
+      Rig rig(replication, /*benefactors=*/4, /*maintenance=*/false,
+              [batched](store::StoreConfig& s) {
+                s.batch_write_rpc = batched;
+              });
+      const SlotFlush f = FlushFromUnfetchedSlot(rig, {1, 5});
+      ASSERT_EQ(f.benefactors.size(), static_cast<size_t>(replication));
+      uint32_t recorded = 0;
+      ASSERT_TRUE(rig.store->manager().LookupChecksum(f.key, &recorded));
+      EXPECT_EQ(recorded, Crc32c(f.stored.data(), f.stored.size()));
+      for (int bid : f.benefactors) {
+        store::Benefactor& b = rig.store->benefactor(static_cast<size_t>(bid));
+        uint32_t content = 0;
+        ASSERT_TRUE(b.StoredContentCrc(f.key, &content));
+        EXPECT_EQ(content, recorded) << "benefactor " << bid;
+        sim::VirtualClock scrub(0);
+        EXPECT_TRUE(b.VerifyChunk(scrub, f.key, recorded).ok())
+            << "benefactor " << bid;
+        std::vector<uint8_t> got(kChunk);
+        ASSERT_TRUE(b.ReadChunk(scrub, f.key, got).ok());
+        EXPECT_EQ(got, f.stored) << "benefactor " << bid;
+      }
+    }
+  }
+}
+
+TEST(SlotFlushTest, FullDirtyFlushStoresClientChecksumVerbatim) {
+  // Every page written: the client hashes its image and each replica
+  // stores that value as is, with no merged-image rehash.
+  const std::vector<size_t> all = AllPages();
+  for (bool batched : {false, true}) {
+    for (int replication : {1, 2}) {
+      SCOPED_TRACE(::testing::Message() << "batched " << batched
+                                        << " replication " << replication);
+      Rig rig(replication, /*benefactors=*/4, /*maintenance=*/false,
+              [batched](store::StoreConfig& s) {
+                s.batch_write_rpc = batched;
+              });
+      const SlotFlush f = FlushFromUnfetchedSlot(rig, all);
+      ASSERT_EQ(f.stored, f.image);
+      const uint32_t client_crc = Crc32c(f.image.data(), f.image.size());
+      uint32_t recorded = 0;
+      ASSERT_TRUE(rig.store->manager().LookupChecksum(f.key, &recorded));
+      EXPECT_EQ(recorded, client_crc);
+      for (int bid : f.benefactors) {
+        bool has_crc = false;
+        uint32_t stored = 0;
+        ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(bid))
+                        .StoredChunkCrc(f.key, &has_crc, &stored));
+        EXPECT_TRUE(has_crc);
+        EXPECT_EQ(stored, client_crc) << "benefactor " << bid;
+      }
+    }
+  }
+}
+
+TEST(SlotFlushTest, FlushChecksumChargesAreUnchanged) {
+  // Virtual-time pin: the client charges one chunk checksum per flushed
+  // chunk whether or not it hashes the image on the host, so a partial
+  // flush costs three chunk checksums (client, base verification, merged
+  // image) and a full one costs exactly the client's.  Rigs that differ
+  // only in the checksum bandwidth isolate that share of the flush.  The
+  // absolute flush times, measured before the client stopped hashing
+  // partial images on the host, pin the whole write path.
+  const auto chunk_ns = [](double gbps) {
+    store::StoreConfig cfg;
+    cfg.checksum_bw_gbps = gbps;
+    return cfg.checksum_ns(kChunk);
+  };
+  const int64_t extra_ns = chunk_ns(1.0) - chunk_ns(4.0);
+  ASSERT_GT(extra_ns, 0);
+  const std::vector<size_t> all = AllPages();
+  struct Pin {
+    int replication;
+    int64_t partial_ns;
+    int64_t full_ns;
+  };
+  for (bool batched : {false, true}) {
+    for (const Pin pin : {Pin{1, 462'628, 1'016'499},
+                          Pin{2, 498'524, 1'301'716}}) {
+      const int replication = pin.replication;
+      const auto flush_ns = [&](double gbps, const std::vector<size_t>& pages) {
+        Rig rig(replication, /*benefactors=*/4, /*maintenance=*/false,
+                [&](store::StoreConfig& s) {
+                  s.batch_write_rpc = batched;
+                  s.checksum_bw_gbps = gbps;
+                });
+        return FlushFromUnfetchedSlot(rig, pages).flush_ns;
+      };
+      SCOPED_TRACE(::testing::Message() << "batched " << batched
+                                        << " replication " << replication);
+      const int64_t partial = flush_ns(4.0, {1, 5});
+      const int64_t full = flush_ns(4.0, all);
+      EXPECT_EQ(partial, pin.partial_ns);
+      EXPECT_EQ(full, pin.full_ns);
+      EXPECT_EQ(flush_ns(1.0, {1, 5}) - partial, 3 * extra_ns);
+      EXPECT_EQ(flush_ns(1.0, all) - full, extra_ns);
+    }
   }
 }
 

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -739,7 +740,9 @@ TEST(CrashMatrix, EcStripeTornBetweenEncodeAndCommitRollsBack) {
   // completion record never happens.
   const auto new_bytes = Pattern(91);
   store::ErasureCodec codec(4, 2);
-  const auto frags = codec.Encode(new_bytes);
+  std::vector<std::span<const uint8_t>> frags = codec.DataFragments(new_bytes);
+  const auto parity = codec.EncodeParity(frags);
+  frags.insert(frags.end(), parity.begin(), parity.end());
   for (size_t pos = 0; pos < frags.size(); ++pos) {
     const int bid = loc->benefactors[pos];
     const uint32_t crc = Crc32c(frags[pos].data(), frags[pos].size());

@@ -3,9 +3,12 @@
 // wear accounting), and the clock-syncing barrier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "sim/clock.hpp"
 #include "sim/device.hpp"
@@ -126,6 +129,126 @@ TEST(ResourceTest, ResetClearsEverything) {
   EXPECT_EQ(r.busy_ns(), 0);
   EXPECT_EQ(r.num_requests(), 0u);
   EXPECT_EQ(r.Schedule(0, 100), 0);  // timeline empty again
+}
+
+// Oracle for the differential test below: the same gap search, backfill
+// and coalescing rules as Resource, written over an ordered map, so the
+// two can be compared request by request.
+class MapTimeline {
+ public:
+  int64_t Schedule(int64_t earliest_start_ns, int64_t duration_ns) {
+    ++num_requests_;
+    busy_ns_ += duration_ns;
+    if (duration_ns == 0) return earliest_start_ns;
+    int64_t start = earliest_start_ns;
+    auto it = intervals_.upper_bound(start);
+    if (it != intervals_.begin()) {
+      auto prev = std::prev(it);
+      if (prev->second > start) start = prev->second;
+    }
+    while (it != intervals_.end() && it->first < start + duration_ns) {
+      start = it->second;
+      ++it;
+    }
+    const int64_t end = start + duration_ns;
+    queue_delay_ns_ += start - earliest_start_ns;
+    int64_t new_start = start;
+    int64_t new_end = end;
+    auto lo = intervals_.lower_bound(new_start);
+    if (lo != intervals_.begin()) {
+      auto prev = std::prev(lo);
+      if (prev->second >= new_start) {
+        new_start = prev->first;
+        new_end = std::max(new_end, prev->second);
+        lo = prev;
+      }
+    }
+    while (lo != intervals_.end() && lo->first <= new_end) {
+      new_end = std::max(new_end, lo->second);
+      lo = intervals_.erase(lo);
+    }
+    intervals_[new_start] = new_end;
+    return start;
+  }
+  void Reset() {
+    intervals_.clear();
+    busy_ns_ = 0;
+    queue_delay_ns_ = 0;
+    num_requests_ = 0;
+  }
+  int64_t busy_ns() const { return busy_ns_; }
+  int64_t queue_delay_ns() const { return queue_delay_ns_; }
+  uint64_t num_requests() const { return num_requests_; }
+
+ private:
+  std::map<int64_t, int64_t> intervals_;
+  int64_t busy_ns_ = 0;
+  int64_t queue_delay_ns_ = 0;
+  uint64_t num_requests_ = 0;
+};
+
+// Seeded request streams mixing every shape the timeline has to handle:
+// tail appends (touching, overlapping and past the tail), requests
+// against a random earlier point (touching and overlapping neighbours,
+// backfill into old gaps), deep backfill far behind the tail, zero
+// durations and the occasional Reset().  Every start and every statistic
+// must match the ordered-map oracle exactly.
+TEST(ResourceTest, FlatTimelineMatchesMapOracle) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Xoshiro256 rng(seed);
+    Resource r("dev");
+    MapTimeline oracle;
+    int64_t tail = 0;  // latest completion handed out so far
+    for (int i = 0; i < 4000; ++i) {
+      const uint64_t pick = rng.NextBelow(100);
+      int64_t duration = static_cast<int64_t>(rng.NextBelow(400)) + 1;
+      if (pick < 4) duration = 0;
+      int64_t at = 0;
+      if (pick < 35) {
+        // At, just before, or just past the current tail.
+        at = std::max<int64_t>(
+            0, tail - 200 + static_cast<int64_t>(rng.NextBelow(400)));
+      } else if (pick < 45) {
+        at = tail;  // exactly touching the last interval
+      } else if (pick < 80) {
+        // Somewhere recent: overlaps, touches or fills nearby gaps.
+        at = std::max<int64_t>(
+            0, tail - static_cast<int64_t>(rng.NextBelow(5000)));
+      } else if (pick < 99) {
+        // Deep backfill anywhere on the timeline so far.
+        at = static_cast<int64_t>(
+            rng.NextBelow(static_cast<uint64_t>(tail) + 1));
+      } else {
+        r.Reset();
+        oracle.Reset();
+        tail = 0;
+        continue;
+      }
+      const int64_t got = r.Schedule(at, duration);
+      const int64_t want = oracle.Schedule(at, duration);
+      ASSERT_EQ(got, want) << "seed " << seed << " request " << i;
+      tail = std::max(tail, got + duration);
+    }
+    EXPECT_EQ(r.busy_ns(), oracle.busy_ns()) << "seed " << seed;
+    EXPECT_EQ(r.queue_delay_ns(), oracle.queue_delay_ns()) << "seed " << seed;
+    EXPECT_EQ(r.num_requests(), oracle.num_requests()) << "seed " << seed;
+  }
+}
+
+// Hand-built corner cases of the coalescing step: a request exactly
+// filling a gap joins both neighbours, one touching only the left or the
+// right joins that side, and later requests see the merged interval.
+TEST(ResourceTest, GapFillCoalescesWithTouchingNeighbours) {
+  Resource r("dev");
+  EXPECT_EQ(r.Schedule(0, 100), 0);      // [0,100)
+  EXPECT_EQ(r.Schedule(200, 100), 200);  // [200,300)
+  EXPECT_EQ(r.Schedule(400, 100), 400);  // [400,500)
+  EXPECT_EQ(r.Schedule(0, 100), 100);    // fills [100,200): one interval
+  // [0,300) is now solid: a request at 50 waits for its end.
+  EXPECT_EQ(r.Schedule(50, 50), 300);    // [300,350) joins the left side
+  EXPECT_EQ(r.Schedule(0, 50), 350);     // [350,400) joins both sides
+  EXPECT_EQ(r.Schedule(0, 10), 500);     // everything up to 500 is busy
+  EXPECT_EQ(r.queue_delay_ns(), 100 + 250 + 350 + 500);
 }
 
 TEST(DeviceProfileTest, TableIValues) {
