@@ -3,6 +3,10 @@
 // and any larger experiments can run.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "common/bitmap.hpp"
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
@@ -95,21 +99,79 @@ std::vector<uint8_t> RandomBytes(size_t n) {
   return v;
 }
 
-// Host cost of one chunk checksum: the portable slice-by-8 kernel against
-// whatever Crc32c dispatches to on this CPU.
-void BM_Crc32c(benchmark::State& state,
-               uint32_t (*crc)(const void*, size_t, uint32_t)) {
+// Host cost of one checksum through each CRC32C kernel this CPU supports
+// (kernels it lacks are not registered), plus the dispatched entry point,
+// which labels itself with the kernel it selected so a CI log shows which
+// one the runner used.
+void BM_Crc32c(benchmark::State& state, Crc32cKernel kernel,
+               bool dispatched) {
   const auto buf = RandomBytes(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crc(buf.data(), buf.size(), 0));
+    benchmark::DoNotOptimize(
+        dispatched ? Crc32c(buf.data(), buf.size())
+                   : Crc32cWith(kernel, buf.data(), buf.size()));
   }
+  state.SetLabel(Crc32cKernelName(kernel));
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK_CAPTURE(BM_Crc32c, portable, &Crc32cPortable)
-    ->Arg(4_KiB)
-    ->Arg(64_KiB);
-BENCHMARK_CAPTURE(BM_Crc32c, dispatched, &Crc32c)->Arg(4_KiB)->Arg(64_KiB);
+
+// Copy-and-verify of one 64 KiB chunk out of a cold 64 MiB pool into
+// another, as a benefactor read does: the fused Crc32cCopy against memcpy
+// followed by Crc32c of the copy, and (for reference) hashing the cold
+// source alone.  Each iteration moves to the next chunk of both pools, so
+// the bytes come from DRAM, not cache.
+enum class CopyMode { kFused, kMemcpyThenCrc32c, kHashOnly };
+
+void BM_Crc32cCopy(benchmark::State& state, CopyMode mode) {
+  constexpr size_t kPool = 64_MiB;
+  constexpr size_t kChunk = 64_KiB;
+  const auto src = RandomBytes(kPool);
+  std::vector<uint8_t> dst(kPool, 1);
+  size_t off = 0;
+  for (auto _ : state) {
+    switch (mode) {
+      case CopyMode::kFused:
+        benchmark::DoNotOptimize(
+            Crc32cCopy(dst.data() + off, src.data() + off, kChunk));
+        break;
+      case CopyMode::kMemcpyThenCrc32c:
+        std::memcpy(dst.data() + off, src.data() + off, kChunk);
+        benchmark::DoNotOptimize(Crc32c(dst.data() + off, kChunk));
+        break;
+      case CopyMode::kHashOnly:
+        benchmark::DoNotOptimize(Crc32c(src.data() + off, kChunk));
+        break;
+    }
+    benchmark::ClobberMemory();
+    off = (off + kChunk) % kPool;
+  }
+  state.SetLabel(Crc32cKernelName(Crc32cSelectedKernel()));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kChunk));
+}
+BENCHMARK_CAPTURE(BM_Crc32cCopy, fused, CopyMode::kFused);
+BENCHMARK_CAPTURE(BM_Crc32cCopy, memcpy_then_crc32c,
+                  CopyMode::kMemcpyThenCrc32c);
+BENCHMARK_CAPTURE(BM_Crc32cCopy, hash_only, CopyMode::kHashOnly);
+
+const bool kCrc32cRegistered = [] {
+  for (Crc32cKernel k :
+       {Crc32cKernel::kPortable, Crc32cKernel::kSse42,
+        Crc32cKernel::kVpclmul256, Crc32cKernel::kVpclmul512}) {
+    if (!Crc32cKernelSupported(k)) continue;
+    benchmark::RegisterBenchmark(
+        (std::string("BM_Crc32c/") + Crc32cKernelName(k)).c_str(),
+        BM_Crc32c, k, /*dispatched=*/false)
+        ->Arg(4_KiB)
+        ->Arg(64_KiB);
+  }
+  benchmark::RegisterBenchmark("BM_Crc32c/dispatched", BM_Crc32c,
+                               Crc32cSelectedKernel(), /*dispatched=*/true)
+      ->Arg(4_KiB)
+      ->Arg(64_KiB);
+  return true;
+}();
 
 // Host cost of the RS(4,2) encode of one 64 KiB chunk as the stripe write
 // path runs it (data fragments are views of the chunk; only parity is

@@ -4,6 +4,9 @@
 #include <bit>
 #include <cstring>
 
+#include "common/crc32c_internal.hpp"
+#include "common/log.hpp"
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define NVM_CRC32C_SSE42 1
 #include <nmmintrin.h>
@@ -13,7 +16,11 @@ namespace nvm {
 
 namespace {
 
-constexpr uint32_t kCrc32cPoly = 0x82f63b78u;  // reflected Castagnoli
+using crc32c_detail::Gf2Matrix;
+using crc32c_detail::Gf2MatrixTimes;
+using crc32c_detail::kCrc32cPoly;
+using crc32c_detail::kZeroShift;
+using crc32c_detail::ShiftZeros;
 
 using Crc32cTables = std::array<std::array<uint32_t, 256>, 8>;
 
@@ -40,52 +47,6 @@ constexpr Crc32cTables BuildCrc32cTables() {
 }
 
 constexpr Crc32cTables kCrc32cTables = BuildCrc32cTables();
-
-// GF(2) linear algebra over the reflected-CRC state space: a Gf2Matrix is
-// a 32x32 bit-matrix (one column per input bit), applied to a raw CRC
-// register.  Advancing a register through zero bytes is such a product.
-using Gf2Matrix = std::array<uint32_t, 32>;
-
-constexpr uint32_t Gf2MatrixTimes(const Gf2Matrix& mat, uint32_t vec) {
-  uint32_t sum = 0;
-  for (size_t n = 0; vec != 0; vec >>= 1, ++n) {
-    if ((vec & 1u) != 0) sum ^= mat[n];
-  }
-  return sum;
-}
-
-constexpr Gf2Matrix Gf2MatrixSquare(const Gf2Matrix& mat) {
-  Gf2Matrix square{};
-  for (size_t n = 0; n < 32; ++n) square[n] = Gf2MatrixTimes(mat, mat[n]);
-  return square;
-}
-
-// kZeroShift[i] advances a raw register through 2^i zero bytes (the zlib
-// crc32_combine operator ladder, squared out ahead of time).
-constexpr std::array<Gf2Matrix, 64> BuildZeroShift() {
-  std::array<Gf2Matrix, 64> ops{};
-  // The one-bit shift operator for the reflected polynomial; squaring it
-  // three times gives one zero byte.
-  Gf2Matrix op{};
-  op[0] = kCrc32cPoly;
-  for (size_t n = 1; n < 32; ++n) op[n] = 1u << (n - 1);
-  for (int i = 0; i < 3; ++i) op = Gf2MatrixSquare(op);
-  for (auto& o : ops) {
-    o = op;
-    op = Gf2MatrixSquare(op);
-  }
-  return ops;
-}
-
-constexpr std::array<Gf2Matrix, 64> kZeroShift = BuildZeroShift();
-
-// Raw register advanced through `len` zero bytes.
-uint32_t ShiftZeros(uint32_t crc, uint64_t len) {
-  for (size_t i = 0; len != 0; len >>= 1, ++i) {
-    if ((len & 1u) != 0) crc = Gf2MatrixTimes(kZeroShift[i], crc);
-  }
-  return crc;
-}
 
 #if NVM_CRC32C_SSE42
 
@@ -161,28 +122,131 @@ __attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
 #endif  // NVM_CRC32C_SSE42
 
 using Crc32cFn = uint32_t (*)(const void*, size_t, uint32_t);
+using Crc32cCopyFn = uint32_t (*)(void*, const void*, size_t, uint32_t);
 
-Crc32cFn SelectCrc32c() {
-#if NVM_CRC32C_SSE42
-  if (__builtin_cpu_supports("sse4.2")) return &Crc32cSse42;
-#endif
-  return &Crc32cPortable;
+// The copy form of a kernel that cannot store as it loads: copy, then hash
+// the copy (hot in cache by then).
+template <Crc32cFn kHash>
+uint32_t CopyThenHash(void* dst, const void* src, size_t n, uint32_t seed) {
+  if (n != 0) std::memcpy(dst, src, n);
+  return kHash(dst, n, seed);
 }
 
-Crc32cFn Crc32cKernelFn() {
-  static const Crc32cFn kernel = SelectCrc32c();
-  return kernel;
+struct KernelFns {
+  Crc32cFn hash;
+  Crc32cCopyFn copy;
+};
+
+KernelFns Fns(Crc32cKernel kernel) {
+  switch (kernel) {
+#if NVM_CRC32C_VPCLMULQDQ
+    case Crc32cKernel::kVpclmul512:
+      return {&crc32c_detail::Crc32cFold512, &crc32c_detail::Crc32cCopyFold512};
+    case Crc32cKernel::kVpclmul256:
+      return {&crc32c_detail::Crc32cFold256, &crc32c_detail::Crc32cCopyFold256};
+#endif
+#if NVM_CRC32C_SSE42
+    case Crc32cKernel::kSse42:
+      return {&Crc32cSse42, &CopyThenHash<&Crc32cSse42>};
+#endif
+    default:
+      return {&Crc32cPortable, &CopyThenHash<&Crc32cPortable>};
+  }
+}
+
+// Widest first: the dispatch order checksum.hpp documents.
+constexpr Crc32cKernel kByPreference[] = {
+    Crc32cKernel::kVpclmul512, Crc32cKernel::kVpclmul256,
+    Crc32cKernel::kSse42, Crc32cKernel::kPortable};
+
+Crc32cKernel SelectKernel() {
+  for (Crc32cKernel k : kByPreference) {
+    if (Crc32cKernelSupported(k)) return k;
+  }
+  return Crc32cKernel::kPortable;
+}
+
+struct Dispatch {
+  Crc32cKernel kernel;
+  KernelFns fns;
+};
+
+const Dispatch& Selected() {
+  static const Dispatch kSelected = [] {
+    const Crc32cKernel k = SelectKernel();
+    return Dispatch{k, Fns(k)};
+  }();
+  return kSelected;
 }
 
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
-  return Crc32cKernelFn()(data, n, seed);
+  return Selected().fns.hash(data, n, seed);
 }
 
-Crc32cKernel Crc32cSelectedKernel() {
-  return Crc32cKernelFn() == &Crc32cPortable ? Crc32cKernel::kPortable
-                                             : Crc32cKernel::kSse42;
+uint32_t Crc32cCopy(void* dst, const void* src, size_t n, uint32_t seed) {
+  return Selected().fns.copy(dst, src, n, seed);
+}
+
+Crc32cKernel Crc32cSelectedKernel() { return Selected().kernel; }
+
+bool Crc32cKernelSupported(Crc32cKernel kernel) {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  // Callable from static initialisers, which may run before the CPU
+  // feature data is set up.
+  __builtin_cpu_init();
+#endif
+  switch (kernel) {
+    case Crc32cKernel::kPortable:
+      return true;
+#if NVM_CRC32C_SSE42
+    case Crc32cKernel::kSse42:
+      return __builtin_cpu_supports("sse4.2");
+#endif
+#if NVM_CRC32C_VPCLMULQDQ
+    case Crc32cKernel::kVpclmul256:
+      return __builtin_cpu_supports("vpclmulqdq") &&
+             __builtin_cpu_supports("pclmul") &&
+             __builtin_cpu_supports("avx2") &&
+             __builtin_cpu_supports("sse4.2");
+    case Crc32cKernel::kVpclmul512:
+      return __builtin_cpu_supports("vpclmulqdq") &&
+             __builtin_cpu_supports("pclmul") &&
+             __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("sse4.2");
+#endif
+    default:
+      return false;
+  }
+}
+
+const char* Crc32cKernelName(Crc32cKernel kernel) {
+  switch (kernel) {
+    case Crc32cKernel::kPortable:
+      return "portable";
+    case Crc32cKernel::kSse42:
+      return "sse42";
+    case Crc32cKernel::kVpclmul256:
+      return "vpclmul256";
+    case Crc32cKernel::kVpclmul512:
+      return "vpclmul512";
+  }
+  return "?";
+}
+
+uint32_t Crc32cWith(Crc32cKernel kernel, const void* data, size_t n,
+                    uint32_t seed) {
+  NVM_CHECK(Crc32cKernelSupported(kernel), "CRC32C kernel %s not supported",
+            Crc32cKernelName(kernel));
+  return Fns(kernel).hash(data, n, seed);
+}
+
+uint32_t Crc32cCopyWith(Crc32cKernel kernel, void* dst, const void* src,
+                        size_t n, uint32_t seed) {
+  NVM_CHECK(Crc32cKernelSupported(kernel), "CRC32C kernel %s not supported",
+            Crc32cKernelName(kernel));
+  return Fns(kernel).copy(dst, src, n, seed);
 }
 
 uint32_t Crc32cPortable(const void* data, size_t n, uint32_t seed) {

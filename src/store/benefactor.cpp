@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <tuple>
 
 #include "common/checksum.hpp"
@@ -164,6 +165,21 @@ Status Benefactor::CorruptChunk(const ChunkKey& key, uint64_t byte_offset,
   return OkStatus();
 }
 
+Benefactor::CopyOut Benefactor::CopyOutLocked(const StoredChunk& chunk,
+                                              std::span<uint8_t> out) const {
+  CopyOut copy;
+  copy.offset = chunk.ssd_offset;
+  copy.verified = config_.verify_reads && chunk.has_crc;
+  if (copy.verified) {
+    // One pass: the bytes hashed are exactly the bytes delivered.
+    copy.intact =
+        Crc32cCopy(out.data(), chunk.data.data(), out.size()) == chunk.crc;
+  } else {
+    std::memcpy(out.data(), chunk.data.data(), out.size());
+  }
+  return copy;
+}
+
 Status Benefactor::ReadChunk(sim::VirtualClock& clock, const ChunkKey& key,
                              std::span<uint8_t> out, bool* sparse,
                              TenantId tenant) {
@@ -171,9 +187,7 @@ Status Benefactor::ReadChunk(sim::VirtualClock& clock, const ChunkKey& key,
   read_requests_.Add(1);
   NVM_CHECK(out.size() == config_.chunk_bytes);
   if (sparse != nullptr) *sparse = false;
-  uint64_t offset = 0;
-  bool has_crc = false;
-  uint32_t crc = 0;
+  CopyOut copy;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = chunks_.find(key);
@@ -184,19 +198,16 @@ Status Benefactor::ReadChunk(sim::VirtualClock& clock, const ChunkKey& key,
       if (sparse != nullptr) *sparse = true;
       return OkStatus();
     }
-    std::memcpy(out.data(), it->second.data.data(), config_.chunk_bytes);
-    offset = it->second.ssd_offset;
-    has_crc = it->second.has_crc;
-    crc = it->second.crc;
+    copy = CopyOutLocked(it->second, out);
   }
   AdmitTransfer(clock, tenant, config_.chunk_bytes, /*is_write=*/false,
                 config_.chunk_bytes);
-  node_.ssd().ChargeRead(clock, offset, config_.chunk_bytes);
+  node_.ssd().ChargeRead(clock, copy.offset, config_.chunk_bytes);
   data_bytes_out_.Add(config_.chunk_bytes);
   // Verify before serving: bit rot must never reach a reader.
-  if (config_.verify_reads && has_crc) {
+  if (copy.verified) {
     clock.Advance(config_.checksum_ns(config_.chunk_bytes));
-    if (Crc32c(out.data(), config_.chunk_bytes) != crc) {
+    if (!copy.intact) {
       return Corrupt("benefactor " + std::to_string(id_) +
                      ": checksum mismatch on " + key.ToString());
     }
@@ -207,10 +218,11 @@ Status Benefactor::ReadChunk(sim::VirtualClock& clock, const ChunkKey& key,
 
 Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
                                 std::span<const ChunkKey> keys,
+                                std::span<const std::span<uint8_t>> outs,
                                 const ChunkRunSink& sink, TenantId tenant) {
   NVM_RETURN_IF_ERROR(EnsureAlive());
+  NVM_CHECK(outs.size() == keys.size());
   read_requests_.Add(1);
-  std::vector<uint8_t> buf;
   bool first_data_chunk = true;
   // The checksum engine pipelines with the device stream: chunk i is
   // verified while chunk i+1 streams off the device, so only the tail
@@ -218,35 +230,29 @@ Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
   // `verify_done_ns` the engine).
   int64_t verify_done_ns = clock.now();
   bool verified_any = false;
-  for (const ChunkKey& key : keys) {
+  for (size_t i = 0; i < keys.size(); ++i) {
     // A crash between chunks takes down the rest of the run: the caller
     // sees one UNAVAILABLE for the whole run and must discard whatever it
     // already received.
     NVM_RETURN_IF_ERROR(EnsureAlive());
+    const ChunkKey& key = keys[i];
+    const std::span<uint8_t> out = outs[i];
+    NVM_CHECK(out.size() == config_.chunk_bytes);
     ChunkRunItem item;
     item.key = key;
-    uint64_t offset = 0;
-    bool stored = false;
-    bool has_crc = false;
-    uint32_t crc = 0;
+    std::optional<CopyOut> copy;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = chunks_.find(key);
-      if (it != chunks_.end()) {
-        stored = true;
-        buf.resize(config_.chunk_bytes);
-        std::memcpy(buf.data(), it->second.data.data(), config_.chunk_bytes);
-        offset = it->second.ssd_offset;
-        has_crc = it->second.has_crc;
-        crc = it->second.crc;
-      }
+      if (it != chunks_.end()) copy = CopyOutLocked(it->second, out);
     }
-    if (!stored) {
+    if (!copy) {
       // Sparse chunk: the stream carries only the "no such chunk" marker,
       // no device access (the backing file has a hole here).
+      std::memset(out.data(), 0, out.size());
       item.sparse = true;
       item.ready_at = clock.now();
-      NVM_RETURN_IF_ERROR(sink(item, {}));
+      NVM_RETURN_IF_ERROR(sink(item));
       continue;
     }
     // The run occupies one device queueing slot: the first stored chunk
@@ -255,18 +261,18 @@ Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
     // gaps other tenants backfill instead of one multi-millisecond hog.
     AdmitTransfer(clock, tenant, config_.chunk_bytes, /*is_write=*/false,
                   config_.chunk_bytes);
-    node_.ssd().ChargeRunRead(clock, offset, config_.chunk_bytes,
+    node_.ssd().ChargeRunRead(clock, copy->offset, config_.chunk_bytes,
                               first_data_chunk);
     first_data_chunk = false;
     data_bytes_out_.Add(config_.chunk_bytes);
     // Verify before the chunk enters the reply stream; a mismatch aborts
     // the whole run (like a mid-run death, but with CORRUPT) and the
     // caller falls back to per-chunk reads with replica failover.
-    if (config_.verify_reads && has_crc) {
+    if (copy->verified) {
       verify_done_ns = std::max(verify_done_ns, clock.now()) +
                        config_.checksum_ns(config_.chunk_bytes);
       verified_any = true;
-      if (Crc32c(buf.data(), buf.size()) != crc) {
+      if (!copy->intact) {
         return Corrupt("benefactor " + std::to_string(id_) +
                        ": checksum mismatch on " + key.ToString() +
                        " mid-run");
@@ -275,7 +281,7 @@ Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
     } else {
       item.ready_at = clock.now();
     }
-    NVM_RETURN_IF_ERROR(sink(item, buf));
+    NVM_RETURN_IF_ERROR(sink(item));
     MaybeKillAfterRead();
   }
   // The run itself is not complete until the last chunk clears the engine.
@@ -364,8 +370,9 @@ Status Benefactor::VerifyChunk(sim::VirtualClock& clock, const ChunkKey& key,
   NVM_RETURN_IF_ERROR(EnsureAlive());
   verify_requests_.Add(1);
   if (sparse != nullptr) *sparse = false;
-  std::vector<uint8_t> buf;
+  uint64_t bytes = 0;
   uint64_t offset = 0;
+  bool intact = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = chunks_.find(key);
@@ -374,18 +381,20 @@ Status Benefactor::VerifyChunk(sim::VirtualClock& clock, const ChunkKey& key,
       if (sparse != nullptr) *sparse = true;
       return OkStatus();
     }
-    buf = it->second.data;
+    // Hashed in place: the verdict is all that leaves the lock.
+    const std::vector<uint8_t>& data = it->second.data;
+    bytes = data.size();
     offset = it->second.ssd_offset;
+    intact = Crc32c(data.data(), data.size()) == expected_crc;
   }
   // The verification read hits the device like any other read, but the
   // bytes never leave the node: only the verdict crosses the network.
   // Charged for the stored blob's actual size — a full chunk for
   // replicated data, one fragment for erasure-coded data.
-  AdmitTransfer(clock, tenant, buf.size(), /*is_write=*/false,
-                /*wire_bytes=*/0);
-  node_.ssd().ChargeRead(clock, offset, buf.size());
-  clock.Advance(config_.checksum_ns(buf.size()));
-  if (Crc32c(buf.data(), buf.size()) != expected_crc) {
+  AdmitTransfer(clock, tenant, bytes, /*is_write=*/false, /*wire_bytes=*/0);
+  node_.ssd().ChargeRead(clock, offset, bytes);
+  clock.Advance(config_.checksum_ns(bytes));
+  if (!intact) {
     return Corrupt("benefactor " + std::to_string(id_) +
                    ": scrub checksum mismatch on " + key.ToString());
   }
@@ -529,9 +538,7 @@ Status Benefactor::ReadFragment(sim::VirtualClock& clock, const ChunkKey& key,
   NVM_RETURN_IF_ERROR(EnsureAlive());
   read_requests_.Add(1);
   if (sparse != nullptr) *sparse = false;
-  uint64_t offset = 0;
-  bool has_crc = false;
-  uint32_t crc = 0;
+  CopyOut copy;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = chunks_.find(key);
@@ -544,19 +551,16 @@ Status Benefactor::ReadFragment(sim::VirtualClock& clock, const ChunkKey& key,
     }
     NVM_CHECK(it->second.data.size() == out.size(),
               "fragment size mismatch on %s", key.ToString().c_str());
-    std::memcpy(out.data(), it->second.data.data(), out.size());
-    offset = it->second.ssd_offset;
-    has_crc = it->second.has_crc;
-    crc = it->second.crc;
+    copy = CopyOutLocked(it->second, out);
   }
   AdmitTransfer(clock, tenant, out.size(), /*is_write=*/false, out.size());
-  node_.ssd().ChargeRead(clock, offset, out.size());
+  node_.ssd().ChargeRead(clock, copy.offset, out.size());
   data_bytes_out_.Add(out.size());
   // Verify before serving: a rotted fragment must surface as CORRUPT, not
   // poison a reconstruction with wrong bytes.
-  if (config_.verify_reads && has_crc) {
+  if (copy.verified) {
     clock.Advance(config_.checksum_ns(out.size()));
-    if (Crc32c(out.data(), out.size()) != crc) {
+    if (!copy.intact) {
       return Corrupt("benefactor " + std::to_string(id_) +
                      ": fragment checksum mismatch on " + key.ToString());
     }

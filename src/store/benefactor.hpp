@@ -62,8 +62,11 @@ class Benefactor {
   // the device (the backing file is sparse); `*sparse` reports this so the
   // client can skip the wire transfer (an ENOENT-for-the-chunk-file, as in
   // the paper's store).  With config.verify_reads the stored bytes are
-  // re-checksummed before serving (CPU charged at checksum_bw_gbps); a
-  // mismatch fails the read with CORRUPT and serves nothing.
+  // copied into `out` and checksummed in the same pass (Crc32cCopy; CPU
+  // charged at checksum_bw_gbps), so the bytes checked are exactly the
+  // bytes delivered.  A mismatch fails the read with CORRUPT, and `out`
+  // then holds unspecified bytes that the caller must not use — true of
+  // every read below whose destination fails its check.
   Status ReadChunk(sim::VirtualClock& clock, const ChunkKey& key,
                    std::span<uint8_t> out, bool* sparse = nullptr,
                    TenantId tenant = kTenantForeground);
@@ -72,12 +75,16 @@ class Benefactor {
   // this benefactor (one header, one device queueing slot): each stored
   // chunk is charged to the device on `clock` (reads of a run serialise on
   // the SSD channel), but only the first pays the per-request read
-  // latency.  Chunks are handed to `sink` in request order, stamped with
-  // their device completion time; sparse chunks skip the device and carry
-  // no data.  If the benefactor dies mid-run the whole run fails with
-  // UNAVAILABLE — the caller must discard any chunks already streamed (no
-  // partial runs are surfaced).
+  // latency.  Chunk keys[i] is copied (and, like ReadChunk, verified in
+  // the same pass) straight into outs[i] (chunk_bytes each); a sparse
+  // chunk skips the device and reads as zeros.  Each chunk is then handed
+  // to `sink` in request order, stamped with its device completion time.
+  // If the benefactor dies mid-run the whole run fails with UNAVAILABLE,
+  // and a chunk failing its check fails it with CORRUPT: either way the
+  // caller must discard every destination of the run (no partial runs are
+  // surfaced; the failing chunk's destination holds unspecified bytes).
   Status ReadChunkRun(sim::VirtualClock& clock, std::span<const ChunkKey> keys,
+                      std::span<const std::span<uint8_t>> outs,
                       const ChunkRunSink& sink,
                       TenantId tenant = kTenantForeground);
 
@@ -238,6 +245,17 @@ class Benefactor {
     uint32_t crc = 0;
   };
 
+  // A stored blob copied out for a read (CopyOutLocked).
+  struct CopyOut {
+    uint64_t offset = 0;    // device offset of the stored blob
+    bool verified = false;  // hashed against its recorded checksum
+    bool intact = true;     // the check passed (or was not made)
+  };
+  // Copy `chunk` into `out` (out.size() == the blob's size), hashing it in
+  // the same pass when reads verify and the chunk has a checksum.  Caller
+  // holds mutex_; charges nothing.
+  CopyOut CopyOutLocked(const StoredChunk& chunk,
+                        std::span<uint8_t> out) const;
   // Assign a device offset for a newly materialised chunk.
   uint64_t AllocateOffset();
   Status EnsureAlive() const;

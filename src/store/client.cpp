@@ -322,9 +322,15 @@ Status StoreClient::ReadRun(sim::VirtualClock& clock,
   cluster_.network().Transfer(clock, local_node_, b->node_id(),
                               cfg.meta_request_bytes);
 
+  // Each chunk is copied straight into its fetch's destination.
   std::vector<ChunkKey> keys;
+  std::vector<std::span<uint8_t>> outs;
   keys.reserve(run.items.size());
-  for (size_t idx : run.items) keys.push_back(locs[idx].key);
+  outs.reserve(run.items.size());
+  for (size_t idx : run.items) {
+    keys.push_back(locs[idx].key);
+    outs.push_back(fetches[idx].out);
+  }
 
   // The reply is one stream: each chunk is pushed as soon as it leaves the
   // device and rides back-to-back behind its predecessor on the NICs.
@@ -332,17 +338,14 @@ Status StoreClient::ReadRun(sim::VirtualClock& clock,
   size_t next = 0;
   uint64_t data_bytes = 0;
   Status streamed = b->ReadChunkRun(
-      clock, keys,
-      [&](const ChunkRunItem& item, std::span<const uint8_t> data) -> Status {
+      clock, keys, outs,
+      [&](const ChunkRunItem& item) -> Status {
         ChunkFetch& f = fetches[run.items[next]];
         ++next;
         if (item.sparse) {
           // A hole costs only the "no such chunk" marker in the stream.
-          std::memset(f.out.data(), 0, f.out.size());
           f.ready_at = reply.Push(item.ready_at, cfg.meta_response_bytes);
         } else {
-          NVM_CHECK(data.size() == f.out.size());
-          std::memcpy(f.out.data(), data.data(), data.size());
           f.ready_at = reply.Push(item.ready_at, cfg.chunk_bytes);
           data_bytes += cfg.chunk_bytes;
         }
@@ -619,10 +622,13 @@ Status StoreClient::WriteStripe(sim::VirtualClock& clock, FileId id,
   }
 
   // Encode k data + m parity fragments (the matrix math is real; the CPU
-  // cost is one chunk through the encode engine) and checksum the full
-  // image plus each fragment — the positional checksums are what degraded
-  // reads and repair verify survivors against.  Data fragments are views
-  // of the image itself; only parity is materialised.
+  // cost is one chunk through the encode engine) and checksum each
+  // fragment — the positional checksums are what degraded reads and repair
+  // verify survivors against.  Data fragments are views of the image
+  // itself; only parity is materialised.  The data fragments tile the
+  // image in order, so the full-image checksum follows from theirs
+  // (Crc32cCombine) without hashing the image again; the modelled charge
+  // still covers the image and every fragment.
   ErasureCodec codec(cfg.ec_k, cfg.ec_m);
   std::vector<std::span<const uint8_t>> frags = codec.DataFragments(full);
   const std::vector<std::vector<uint8_t>> parity = codec.EncodeParity(frags);
@@ -632,11 +638,11 @@ Status StoreClient::WriteStripe(sim::VirtualClock& clock, FileId id,
   uint32_t crc = 0;
   std::vector<uint32_t> frag_crcs;
   if (with_crc) {
-    crc = Crc32c(full.data(), full.size());
     frag_crcs.reserve(nf);
     for (std::span<const uint8_t> f : frags) {
       frag_crcs.push_back(Crc32c(f.data(), f.size()));
     }
+    for (size_t i = 0; i < k; ++i) crc = Crc32cCombine(crc, frag_crcs[i], fb);
     clock.Advance(cfg.checksum_ns(cfg.chunk_bytes) +
                   cfg.checksum_ns(nf * fb));
   }

@@ -189,11 +189,11 @@ class StoreClient {
   StatusOr<ReadLocation> LookupRead(sim::VirtualClock& clock, FileId id,
                                     uint32_t chunk_index, bool refresh);
   void InvalidateLocation(FileId id, uint32_t chunk_index);
-  // One streamed ReadChunkRun against run.benefactor, filling the fetches
-  // named by run.items.  All-or-nothing: on failure the caller must
-  // re-read every item of the run per chunk (partially streamed chunks
-  // are superseded) — no fetched-bytes traffic is committed for a failed
-  // run.
+  // One streamed ReadChunkRun against run.benefactor, which copies each
+  // chunk straight into the `out` of the fetch run.items names.
+  // All-or-nothing: on failure the caller must re-read every item of the
+  // run per chunk (whatever the run left in their destinations is
+  // superseded) — no fetched-bytes traffic is committed for a failed run.
   Status ReadRun(sim::VirtualClock& clock, const BenefactorRun& run,
                  std::span<const ReadLocation> locs,
                  std::span<ChunkFetch> fetches);

@@ -53,11 +53,10 @@ struct ChunkRunItem {
   int64_t ready_at = 0;  // device completion time on the run's clock
 };
 
-// Receives the chunks of a run in request order.  `data` is the full chunk
-// image, or empty when the item is sparse (the reply then carries only the
-// "no such chunk" marker).  A non-OK return aborts the rest of the run.
-using ChunkRunSink =
-    std::function<Status(const ChunkRunItem&, std::span<const uint8_t>)>;
+// Told of each chunk of a run in request order, once its bytes are in the
+// caller's destination (a sparse item's reply carries only the "no such
+// chunk" marker).  A non-OK return aborts the rest of the run.
+using ChunkRunSink = std::function<Status(const ChunkRunItem&)>;
 
 // One chunk inside a multi-chunk write run (Benefactor::WriteChunkRun).
 // `data` is the full chunk image; `dirty` selects the pages to program.

@@ -472,6 +472,57 @@ TEST(ErasureStoreTest, PartialDirtyWriteMergesOverDegradedStripe) {
   EXPECT_EQ(rig.store->manager().lost_chunks(), 0u);
 }
 
+TEST(ErasureStoreTest, CommittedImageChecksumIsCrcOfTheImage) {
+  // A stripe write derives the full-image checksum from the k data-
+  // fragment checksums (Crc32cCombine) instead of hashing the image again.
+  // The committed value must still be exactly the CRC of the image, for
+  // full-stripe writes and for read-modify-write flushes whose dirty pages
+  // sit inside one fragment, straddle two or span several.
+  Rig rig(6, [](store::StoreConfig& cfg) {
+    cfg.heartbeat_period_ms = 1'000'000;
+    cfg.scrub_period_ms = 1'000'000;
+  });
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  store::Manager& m = rig.store->manager();
+  sim::VirtualClock clock(0);
+  constexpr uint32_t kChunks = 3;
+  auto data = Pattern(kChunks * kChunk, 27);
+  const store::FileId id = WriteStoreFile(c, "/crc", kChunks, data, clock);
+  const auto expect_committed = [&](uint32_t chunk) {
+    auto loc = m.GetReadLocation(clock, id, chunk);
+    ASSERT_TRUE(loc.ok());
+    uint32_t crc = 0;
+    ASSERT_TRUE(m.LookupChecksum(loc->key, &crc));
+    EXPECT_EQ(crc, Crc32c(data.data() + chunk * kChunk, kChunk))
+        << "chunk " << chunk;
+  };
+  for (uint32_t i = 0; i < kChunks; ++i) expect_committed(i);
+
+  const uint64_t page = c.config().page_bytes;
+  const size_t pages = kChunk / page;
+  const size_t frag_pages = pages / 4;
+  uint64_t seed = 28;
+  for (const auto& set : std::initializer_list<std::vector<size_t>>{
+           {0},
+           {frag_pages - 1, frag_pages},
+           {pages - 1},
+           {1, frag_pages + 2, 2 * frag_pages + 1, pages - 2}}) {
+    const uint32_t chunk = static_cast<uint32_t>(seed % kChunks);
+    Bitmap dirty(pages);
+    for (size_t p : set) {
+      dirty.Set(p);
+      const auto fresh = Pattern(page, seed++);
+      std::copy(fresh.begin(), fresh.end(),
+                data.begin() + chunk * kChunk + p * page);
+    }
+    ASSERT_TRUE(c.WriteChunkPages(clock, id, chunk, dirty,
+                                  {data.data() + chunk * kChunk, kChunk})
+                    .ok());
+    expect_committed(chunk);
+  }
+  ExpectBytes(c, clock, id, kChunks, data);
+}
+
 // ---- fragment repair ----
 
 TEST(ErasureStoreTest, FragmentRepairRestoresFullStripes) {

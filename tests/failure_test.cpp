@@ -4,8 +4,10 @@
 // decommission/drain path for hardware upgrades.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -1237,6 +1239,271 @@ TEST(SlotFlushTest, FlushChecksumChargesAreUnchanged) {
       EXPECT_EQ(flush_ns(1.0, all) - full, extra_ns);
     }
   }
+}
+
+// ---- one-pass copy-and-verify reads ----
+//
+// A benefactor read copies the stored bytes into the caller's destination
+// and checksums them in the same pass.  A single flipped bit anywhere in a
+// stored blob must still fail the read with CORRUPT, and the virtual time
+// of every read — intact or failing — is pinned to the values the
+// copy-then-hash reads produced.
+
+store::ChunkKey OnePassKey(uint32_t index) {
+  store::ChunkKey key;
+  key.origin_file = 8000;
+  key.index = index;
+  key.version = 0;
+  return key;
+}
+
+// Byte offsets the bit-flip tests corrupt: the first and last byte, and
+// bytes inside and at the edges of the folding kernel's vector blocks.
+std::vector<uint64_t> FlipOffsets(uint64_t blob_bytes) {
+  return {0, 1, 63, 64, 255, 256, blob_bytes / 2, blob_bytes - 1};
+}
+
+TEST(OnePassReadTest, BitFlipSurfacesAsCorruptFromReadChunkAndReadFragment) {
+  Rig rig(/*replication=*/1, /*benefactors=*/1);
+  store::Benefactor& b = rig.store->benefactor(0);
+  const uint64_t frag_bytes = kChunk / 4;
+  const auto chunk = Pattern(kChunk, 500);
+  const auto frag = Pattern(frag_bytes, 501);
+  const uint32_t frag_crc = Crc32c(frag.data(), frag.size());
+  Bitmap all(kChunk / store::StoreConfig{}.page_bytes);
+  all.SetAll();
+  {
+    sim::VirtualClock clock(0);
+    ASSERT_TRUE(MergeVia(MergeRpc::kWritePages, b, clock, OnePassKey(0), all,
+                         chunk)
+                    .ok());
+    ASSERT_TRUE(b.WriteFragment(clock, OnePassKey(1), frag, &frag_crc).ok());
+  }
+  // Each read starts on an idle device, far past the one before.
+  int64_t start = 0;
+  const auto read = [&](bool fragment, std::vector<uint8_t>& out,
+                        int64_t* elapsed) {
+    start += 1'000 * kMs;
+    sim::VirtualClock clock(start);
+    const Status s = fragment ? b.ReadFragment(clock, OnePassKey(1), out)
+                              : b.ReadChunk(clock, OnePassKey(0), out);
+    *elapsed = clock.now() - start;
+    return s;
+  };
+  for (bool fragment : {false, true}) {
+    SCOPED_TRACE(fragment ? "ReadFragment" : "ReadChunk");
+    const std::vector<uint8_t>& want = fragment ? frag : chunk;
+    const int64_t pinned_ns = fragment ? 144'632 : 353'528;
+    std::vector<uint8_t> out(want.size());
+    int64_t elapsed = 0;
+    ASSERT_TRUE(read(fragment, out, &elapsed).ok());
+    EXPECT_EQ(out, want);
+    EXPECT_EQ(elapsed, pinned_ns);
+    const store::ChunkKey key = OnePassKey(fragment ? 1 : 0);
+    for (uint64_t off : FlipOffsets(want.size())) {
+      const auto mask = static_cast<uint8_t>(1u << (off % 8));
+      ASSERT_TRUE(b.CorruptChunk(key, off, mask).ok());
+      const Status s = read(fragment, out, &elapsed);
+      EXPECT_EQ(s.code(), ErrorCode::kCorrupt) << "flip at " << off;
+      EXPECT_EQ(elapsed, pinned_ns) << "flip at " << off;
+      ASSERT_TRUE(b.CorruptChunk(key, off, mask).ok());  // flip back
+    }
+    ASSERT_TRUE(read(fragment, out, &elapsed).ok());
+    EXPECT_EQ(out, want);
+  }
+}
+
+TEST(OnePassReadTest, BitFlipSurfacesAsCorruptFromReadChunkRunAtAnyPosition) {
+  // An 8-chunk run whose first, middle or last chunk carries a flipped
+  // bit fails with CORRUPT after delivering exactly the chunks before it;
+  // an intact run delivers every chunk into its own destination.
+  Rig rig(/*replication=*/1, /*benefactors=*/1);
+  store::Benefactor& b = rig.store->benefactor(0);
+  constexpr uint32_t kRun = 8;
+  const auto data = Pattern(kRun * kChunk, 510);
+  std::vector<store::ChunkKey> keys;
+  Bitmap all(kChunk / store::StoreConfig{}.page_bytes);
+  all.SetAll();
+  {
+    sim::VirtualClock clock(0);
+    for (uint32_t i = 0; i < kRun; ++i) {
+      keys.push_back(OnePassKey(i));
+      const std::vector<uint8_t> image(data.begin() + i * kChunk,
+                                       data.begin() + (i + 1) * kChunk);
+      ASSERT_TRUE(
+          MergeVia(MergeRpc::kWritePages, b, clock, keys[i], all, image).ok());
+    }
+  }
+  std::vector<uint8_t> bufs(kRun * kChunk);
+  std::vector<std::span<uint8_t>> outs;
+  for (uint32_t i = 0; i < kRun; ++i) {
+    outs.push_back({bufs.data() + i * kChunk, kChunk});
+  }
+  int64_t start = 0;
+  const auto run = [&](std::vector<int64_t>* ready, int64_t* elapsed) {
+    start += 1'000 * kMs;
+    sim::VirtualClock clock(start);
+    ready->clear();
+    const Status s = b.ReadChunkRun(
+        clock, keys, outs, [&](const store::ChunkRunItem& item) -> Status {
+          EXPECT_FALSE(item.sparse);
+          ready->push_back(item.ready_at - start);
+          return OkStatus();
+        });
+    *elapsed = clock.now() - start;
+    return s;
+  };
+  std::vector<int64_t> ready;
+  int64_t elapsed = 0;
+  ASSERT_TRUE(run(&ready, &elapsed).ok());
+  EXPECT_EQ(bufs, data);
+  // Device reads serialise; each chunk's verification overlaps the next
+  // chunk's read, so chunk i is ready one chunk-read after chunk i - 1.
+  constexpr int64_t kFirstReady = 353'528;
+  constexpr int64_t kChunkRead = 262'144;
+  std::vector<int64_t> want_ready;
+  for (int64_t i = 0; i < kRun; ++i) {
+    want_ready.push_back(kFirstReady + i * kChunkRead);
+  }
+  EXPECT_EQ(ready, want_ready);
+  EXPECT_EQ(elapsed, want_ready.back());
+  for (uint32_t bad : {0u, kRun / 2, kRun - 1}) {
+    SCOPED_TRACE(::testing::Message() << "bad chunk " << bad);
+    for (uint64_t off : {uint64_t{0}, kChunk / 2 + 5, kChunk - 1}) {
+      ASSERT_TRUE(b.CorruptChunk(keys[bad], off, 0x80).ok());
+      const Status s = run(&ready, &elapsed);
+      EXPECT_EQ(s.code(), ErrorCode::kCorrupt) << "flip at " << off;
+      EXPECT_EQ(ready.size(), bad) << "flip at " << off;
+      // The run stops at the bad chunk's check, before its verification
+      // time is charged.
+      EXPECT_EQ(elapsed, 337'144 + kChunkRead * static_cast<int64_t>(bad))
+          << "flip at " << off;
+      ASSERT_TRUE(b.CorruptChunk(keys[bad], off, 0x80).ok());  // flip back
+    }
+  }
+}
+
+TEST(OnePassReadTest, ClientReadsHealthyBytesPastAFlippedBit) {
+  // Through the client, a flipped bit on one stored copy costs a failover
+  // (replication 2) or a reconstruction (RS(4,2)), never wrong bytes —
+  // single-chunk and batched reads alike.
+  for (bool ec : {false, true}) {
+    SCOPED_TRACE(ec ? "RS(4,2)" : "replication 2");
+    Rig rig(ec ? 1 : 2, ec ? 6 : 4, /*maintenance=*/false,
+            [ec](store::StoreConfig& cfg) {
+              if (!ec) return;
+              cfg.redundancy = store::RedundancyMode::kErasure;
+              cfg.ec_k = 4;
+              cfg.ec_m = 2;
+            });
+    store::StoreClient& c = rig.store->ClientForNode(0);
+    store::Manager& m = rig.store->manager();
+    constexpr uint32_t kChunks = 8;
+    const auto data = Pattern(kChunks * kChunk, ec ? 521 : 520);
+    const store::FileId id = WriteStoreFile(c, "/onepass", kChunks, data);
+    // Rot the first-read copy of chunks 0 (single read) and 3 (inside
+    // the batch): the primary replica, or the first data fragment.
+    for (uint32_t chunk : {0u, 3u}) {
+      auto loc = m.GetReadLocation(sim::CurrentClock(), id, chunk);
+      ASSERT_TRUE(loc.ok());
+      ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(
+                                            loc->benefactors.front()))
+                      .CorruptChunk(loc->key, 1000 + chunk, 0x02)
+                      .ok());
+    }
+    sim::VirtualClock clock(1'000 * kMs);
+    std::vector<uint8_t> one(kChunk);
+    ASSERT_TRUE(c.ReadChunk(clock, id, 0, one).ok());
+    EXPECT_EQ(0, std::memcmp(one.data(), data.data(), kChunk));
+    EXPECT_EQ(clock.now() - 1'000 * kMs, ec ? 847'806 : 1'172'551);
+
+    std::vector<std::vector<uint8_t>> bufs(kChunks,
+                                           std::vector<uint8_t>(kChunk));
+    std::vector<store::StoreClient::ChunkFetch> fetches(kChunks);
+    for (uint32_t i = 0; i < kChunks; ++i) {
+      fetches[i].index = i;
+      fetches[i].out = bufs[i];
+    }
+    sim::VirtualClock batch(2'000 * kMs);
+    ASSERT_TRUE(c.ReadChunks(batch, id, fetches).ok());
+    std::vector<int64_t> ready;
+    for (uint32_t i = 0; i < kChunks; ++i) {
+      ASSERT_TRUE(fetches[i].status.ok()) << "chunk " << i;
+      EXPECT_EQ(0, std::memcmp(bufs[i].data(), data.data() + i * kChunk,
+                               kChunk))
+          << "chunk " << i;
+      ready.push_back(fetches[i].ready_at - 2'000 * kMs);
+    }
+    const std::vector<int64_t> want_ready =
+        ec ? std::vector<int64_t>{706'453, 958'625, 1'243'565, 1'826'183,
+                                  1'935'885, 2'220'825, 2'505'765, 2'790'705}
+           : std::vector<int64_t>{882'580, 1'167'519, 1'737'397, 2'721'081,
+                                  3'006'020, 1'452'458, 2'022'336, 2'307'553};
+    EXPECT_EQ(ready, want_ready);
+    if (ec) {
+      // A rotten fragment stays in place (nothing quarantines it on a
+      // stripe read), so the batch reconstructs chunk 0 again.
+      EXPECT_EQ(c.ec_degraded_reads(), 3u);
+    } else {
+      // The single read quarantined chunk 0's rotten replica; the batch
+      // fails over only for chunk 3.
+      EXPECT_EQ(c.corrupt_failovers(), 2u);
+    }
+  }
+}
+
+TEST(CorruptionTest, ScrubVerdictsAndTimeForChunksAndFragments) {
+  // VerifyChunk hashes the stored blob in place.  Verdicts and virtual
+  // time are pinned for a replicated chunk and an erasure fragment —
+  // intact, with one flipped bit, and restored — and for a sparse chunk,
+  // which verifies trivially without touching the device.
+  Rig rig(/*replication=*/1, /*benefactors=*/1);
+  store::Benefactor& b = rig.store->benefactor(0);
+  const auto chunk = Pattern(kChunk, 530);
+  const auto frag = Pattern(kChunk / 4, 531);
+  const uint32_t chunk_crc = Crc32c(chunk.data(), chunk.size());
+  const uint32_t frag_crc = Crc32c(frag.data(), frag.size());
+  Bitmap all(kChunk / store::StoreConfig{}.page_bytes);
+  all.SetAll();
+  {
+    sim::VirtualClock clock(0);
+    ASSERT_TRUE(MergeVia(MergeRpc::kWritePages, b, clock, OnePassKey(0), all,
+                         chunk)
+                    .ok());
+    ASSERT_TRUE(b.WriteFragment(clock, OnePassKey(1), frag, &frag_crc).ok());
+  }
+  int64_t start = 0;
+  const auto verify = [&](uint32_t index, uint32_t crc, bool* sparse,
+                          int64_t* elapsed) {
+    start += 1'000 * kMs;
+    sim::VirtualClock clock(start);
+    const Status s = b.VerifyChunk(clock, OnePassKey(index), crc, sparse);
+    *elapsed = clock.now() - start;
+    return s;
+  };
+  for (bool fragment : {false, true}) {
+    SCOPED_TRACE(fragment ? "fragment" : "chunk");
+    const uint32_t index = fragment ? 1 : 0;
+    const uint32_t crc = fragment ? frag_crc : chunk_crc;
+    const int64_t pinned_ns = fragment ? 144'632 : 353'528;
+    bool sparse = true;
+    int64_t elapsed = 0;
+    EXPECT_TRUE(verify(index, crc, &sparse, &elapsed).ok());
+    EXPECT_FALSE(sparse);
+    EXPECT_EQ(elapsed, pinned_ns);
+    ASSERT_TRUE(b.CorruptChunk(OnePassKey(index), 4095, 0x08).ok());
+    EXPECT_EQ(verify(index, crc, &sparse, &elapsed).code(),
+              ErrorCode::kCorrupt);
+    EXPECT_EQ(elapsed, pinned_ns);
+    ASSERT_TRUE(b.CorruptChunk(OnePassKey(index), 4095, 0x08).ok());
+    EXPECT_TRUE(verify(index, crc, &sparse, &elapsed).ok());
+    EXPECT_EQ(elapsed, pinned_ns);
+  }
+  bool sparse = false;
+  int64_t elapsed = -1;
+  EXPECT_TRUE(verify(2, chunk_crc, &sparse, &elapsed).ok());
+  EXPECT_TRUE(sparse);
+  EXPECT_EQ(elapsed, 0);
 }
 
 }  // namespace
