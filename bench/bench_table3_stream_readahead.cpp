@@ -41,13 +41,13 @@ StreamResult RunMode(bool with_nvmalloc) {
   return r;
 }
 
-// Aggregate read bandwidth vs stripe width, batch_rpc on/off: W clients
-// each batch-read their own 64-chunk file striped over W benefactors,
-// straight through StoreClient::ReadChunks (no fuselite cache in the way).
-// With batch_rpc on, each 32-chunk batch costs one run per benefactor
-// instead of one request per chunk, amortising the per-request SSD
-// latency that bounds the legacy path.
-double AggregateReadMbps(size_t width, bool batch_rpc) {
+// Aggregate read bandwidth vs stripe width, run RPCs unbounded vs one
+// chunk long: W clients each batch-read their own 64-chunk file striped
+// over W benefactors, straight through StoreClient::ReadChunks (no
+// fuselite cache in the way).  With unbounded runs each 32-chunk batch
+// costs one run per benefactor instead of one request per chunk,
+// amortising the per-request SSD latency that bounds per-chunk requests.
+double AggregateReadMbps(size_t width, bool unbounded_runs) {
   constexpr uint64_t kChunkB = 64_KiB;
   constexpr uint32_t kChunksPerFile = 64;
   constexpr uint32_t kBatch = 32;
@@ -57,7 +57,7 @@ double AggregateReadMbps(size_t width, bool batch_rpc) {
   net::Cluster cluster(cc);
   store::AggregateStoreConfig sc;
   sc.store.chunk_bytes = kChunkB;
-  sc.store.batch_rpc = batch_rpc;
+  if (!unbounded_runs) sc.store.max_run_chunks = 1;
   for (size_t b = 0; b < width; ++b) {
     sc.benefactor_nodes.push_back(static_cast<int>(width + b));
   }
@@ -164,7 +164,7 @@ int main() {
 
   // Companion sweep: the benefactor-side run RPC's effect on aggregate
   // striped read bandwidth.
-  Table sweep({"Stripe width", "batch_rpc=off MB/s", "batch_rpc=on MB/s",
+  Table sweep({"Stripe width", "max_run_chunks=1 MB/s", "unbounded MB/s",
                "speedup"});
   bool wide_improved = true;
   for (size_t w : {1u, 4u, 8u, 16u}) {

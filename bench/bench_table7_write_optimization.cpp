@@ -6,9 +6,9 @@
 // 471 MB to FUSE but 19.3 GB to SSD (whole 256 KB chunks shipped per
 // eviction) — a ~38x write-volume reduction, which also saves flash wear.
 //
-// This bench also compares the batched write-back run RPC
-// (batch_write_rpc) against per-chunk write RPCs: identical bytes on the
-// wire and SSD, fewer request headers and SSD queueing slots.
+// This bench also compares unbounded write-back run RPCs against runs of
+// one chunk (max_run_chunks=1, one write request per chunk): identical
+// bytes on the wire and SSD, fewer request headers and SSD queueing slots.
 #include "bench_util.hpp"
 #include "workloads/randwrite.hpp"
 
@@ -25,10 +25,10 @@ struct ModeStats {
   uint64_t flush_batches = 0;
 };
 
-ModeStats RunMode(bool optimised, bool batch_write_rpc) {
+ModeStats RunMode(bool optimised, bool unbounded_runs) {
   TestbedOptions to;
   to.fuse.dirty_page_writeback = optimised;
-  to.store.batch_write_rpc = batch_write_rpc;
+  if (!unbounded_runs) to.store.max_run_chunks = 1;
   Testbed tb(to);
   RandWriteOptions o;  // 16 MiB region (2 GiB-class), 131072 writes
   ModeStats s;

@@ -14,7 +14,8 @@
 //
 // Common keys: nodes, benefactors, remote, chunk=64K, cache=2M, pool=4M,
 // replication, readahead, readahead_max, cache_shards, batch_fetch,
-// batch_rpc, batch_write_rpc, page_writeback, report (print store status),
+// max_run_chunks (longest store run RPC; 1 = one request per chunk,
+// 0 = unbounded, the default), page_writeback, report (print store status),
 // maintenance (background failure detection/repair/scrub), plus its knobs
 // heartbeat_period_ms, heartbeat_misses, repair_bw_fraction, scrub_period_ms,
 // and the integrity knobs verify_reads, scrub_verify, scrub_verify_bytes,
@@ -31,8 +32,11 @@
 // (multi-tenant admission scheduling), qos_burst_ms, qos_window_ms and
 // tenant=<id>:<weight>:<share>:<priority>[,...] (per-tenant policy;
 // maintenance is tenant 1 and inherits repair_bw_fraction by default).
+// A key no part of the run reads is an error: nvmsim lists it and exits
+// with status 2 before running anything.
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -68,9 +72,9 @@ TestbedOptions BuildTestbed(const Config& cfg) {
   to.fuse.readahead_max_chunks = static_cast<uint32_t>(
       cfg.GetInt("readahead_max", to.fuse.readahead_max_chunks));
   to.fuse.batch_fetch = cfg.GetBool("batch_fetch", to.fuse.batch_fetch);
-  to.store.batch_rpc = cfg.GetBool("batch_rpc", to.store.batch_rpc);
-  to.store.batch_write_rpc =
-      cfg.GetBool("batch_write_rpc", to.store.batch_write_rpc);
+  if (const int64_t n = cfg.GetInt("max_run_chunks", 0); n > 0) {
+    to.store.max_run_chunks = static_cast<size_t>(n);
+  }
   to.store.maintenance = cfg.GetBool("maintenance", to.store.maintenance);
   to.store.heartbeat_period_ms =
       cfg.GetInt("heartbeat_period_ms", to.store.heartbeat_period_ms);
@@ -168,7 +172,11 @@ std::vector<store::MountCacheStats> CollectMountStats(Testbed& tb,
   return mounts;
 }
 
-int RunStreamCmd(const Config& cfg, Testbed& tb) {
+// Each workload command reads its keys up front and returns the run, so
+// unread keys are caught before anything runs.
+using Command = std::function<int(Testbed&)>;
+
+Command StreamCmd(const Config& cfg) {
   StreamOptions o;
   o.array_bytes = cfg.GetBytes("array", ScaledBytes(2_GiB));
   o.iterations = static_cast<int>(cfg.GetInt("iterations", 10));
@@ -177,18 +185,20 @@ int RunStreamCmd(const Config& cfg, Testbed& tb) {
   o.a_on_nvm = arrays.find('A') != std::string::npos;
   o.b_on_nvm = arrays.find('B') != std::string::npos;
   o.c_on_nvm = arrays.find('C') != std::string::npos;
-  auto r = RunStream(tb, o);
-  std::printf("STREAM (arrays %s on NVM, %zu threads):\n", arrays.c_str(),
-              o.threads);
-  for (int k = 0; k < 4; ++k) {
-    std::printf("  %-6s %10.1f MB/s  (%s)\n", kStreamKernelNames[k],
-                r.mbps[k], FormatDuration(r.duration_ns[k]).c_str());
-  }
-  std::printf("  verified: %s\n", r.verified ? "yes" : "NO");
-  return r.verified ? 0 : 1;
+  return [o, arrays](Testbed& tb) {
+    auto r = RunStream(tb, o);
+    std::printf("STREAM (arrays %s on NVM, %zu threads):\n", arrays.c_str(),
+                o.threads);
+    for (int k = 0; k < 4; ++k) {
+      std::printf("  %-6s %10.1f MB/s  (%s)\n", kStreamKernelNames[k],
+                  r.mbps[k], FormatDuration(r.duration_ns[k]).c_str());
+    }
+    std::printf("  verified: %s\n", r.verified ? "yes" : "NO");
+    return r.verified ? 0 : 1;
+  };
 }
 
-int RunMmCmd(const Config& cfg, Testbed& tb) {
+Command MmCmd(const Config& cfg) {
   MatmulOptions o;
   o.matrix_bytes = cfg.GetBytes("matrix", o.matrix_bytes);
   o.procs_per_node = static_cast<size_t>(cfg.GetInt("x", 8));
@@ -197,25 +207,27 @@ int RunMmCmd(const Config& cfg, Testbed& tb) {
   o.shared_mmap = cfg.GetBool("shared", true);
   o.column_major = cfg.GetBool("column_major", false);
   o.tile = static_cast<size_t>(cfg.GetInt("tile", 64));
-  auto r = RunMatmul(tb, o);
-  if (!r.feasible) {
-    std::printf("MM: infeasible (B replicas exceed the DRAM budget)\n");
-    return 1;
-  }
-  std::printf(
-      "MM %s %s tile=%zu:\n  A %.2fs | inB %.2fs | bcast %.2fs | compute "
-      "%.2fs | C %.2fs | total %.2fs\n  B traffic: app %s, FUSE %s, SSD "
-      "%s\n  verified: %s\n",
-      o.column_major ? "column-major" : "row-major",
-      o.shared_mmap ? "shared" : "individual", o.tile, r.input_split_a_s,
-      r.input_b_s, r.broadcast_b_s, r.compute_s, r.collect_output_c_s,
-      r.total_s, FormatBytes(r.app_b_bytes).c_str(),
-      FormatBytes(r.fuse_b_bytes).c_str(),
-      FormatBytes(r.ssd_b_bytes).c_str(), r.verified ? "yes" : "NO");
-  return r.verified ? 0 : 1;
+  return [o](Testbed& tb) {
+    auto r = RunMatmul(tb, o);
+    if (!r.feasible) {
+      std::printf("MM: infeasible (B replicas exceed the DRAM budget)\n");
+      return 1;
+    }
+    std::printf(
+        "MM %s %s tile=%zu:\n  A %.2fs | inB %.2fs | bcast %.2fs | compute "
+        "%.2fs | C %.2fs | total %.2fs\n  B traffic: app %s, FUSE %s, SSD "
+        "%s\n  verified: %s\n",
+        o.column_major ? "column-major" : "row-major",
+        o.shared_mmap ? "shared" : "individual", o.tile, r.input_split_a_s,
+        r.input_b_s, r.broadcast_b_s, r.compute_s, r.collect_output_c_s,
+        r.total_s, FormatBytes(r.app_b_bytes).c_str(),
+        FormatBytes(r.fuse_b_bytes).c_str(),
+        FormatBytes(r.ssd_b_bytes).c_str(), r.verified ? "yes" : "NO");
+    return r.verified ? 0 : 1;
+  };
 }
 
-int RunSortCmd(const Config& cfg, Testbed& tb) {
+Command SortCmd(const Config& cfg) {
   PsortOptions o;
   o.list_bytes = cfg.GetBytes("list", SortScaledBytes(200_GiB));
   o.procs_per_node = static_cast<size_t>(cfg.GetInt("x", 8));
@@ -224,48 +236,54 @@ int RunSortCmd(const Config& cfg, Testbed& tb) {
                ? PsortOptions::Mode::kHybridNvm
                : PsortOptions::Mode::kDramTwoPass;
   o.dram_fraction = cfg.GetDouble("dram_fraction", 0.5);
-  auto r = RunPsort(tb, o);
-  std::printf(
-      "SORT %s: %.2f s, %d pass(es), %llu elements, verified: %s\n",
-      o.mode == PsortOptions::Mode::kHybridNvm ? "hybrid" : "two-pass",
-      r.seconds, r.passes, static_cast<unsigned long long>(r.elements),
-      r.verified ? "yes" : "NO");
-  return r.verified ? 0 : 1;
+  return [o](Testbed& tb) {
+    auto r = RunPsort(tb, o);
+    std::printf(
+        "SORT %s: %.2f s, %d pass(es), %llu elements, verified: %s\n",
+        o.mode == PsortOptions::Mode::kHybridNvm ? "hybrid" : "two-pass",
+        r.seconds, r.passes, static_cast<unsigned long long>(r.elements),
+        r.verified ? "yes" : "NO");
+    return r.verified ? 0 : 1;
+  };
 }
 
-int RunRandWriteCmd(const Config& cfg, Testbed& tb) {
+Command RandWriteCmd(const Config& cfg) {
   RandWriteOptions o;
   o.region_bytes = cfg.GetBytes("region", ScaledBytes(2_GiB));
   o.num_writes = static_cast<uint64_t>(cfg.GetInt("writes", 131072));
-  auto r = RunRandWrite(tb, o);
-  std::printf(
-      "RANDWRITE %llu writes into %s: to FUSE %s, to SSD %s, %.3f s, "
-      "verified: %s\n",
-      static_cast<unsigned long long>(o.num_writes),
-      FormatBytes(o.region_bytes).c_str(),
-      FormatBytes(r.bytes_to_fuse).c_str(),
-      FormatBytes(r.bytes_to_ssd).c_str(), r.seconds,
-      r.verified ? "yes" : "NO");
-  return r.verified ? 0 : 1;
+  return [o](Testbed& tb) {
+    auto r = RunRandWrite(tb, o);
+    std::printf(
+        "RANDWRITE %llu writes into %s: to FUSE %s, to SSD %s, %.3f s, "
+        "verified: %s\n",
+        static_cast<unsigned long long>(o.num_writes),
+        FormatBytes(o.region_bytes).c_str(),
+        FormatBytes(r.bytes_to_fuse).c_str(),
+        FormatBytes(r.bytes_to_ssd).c_str(), r.seconds,
+        r.verified ? "yes" : "NO");
+    return r.verified ? 0 : 1;
+  };
 }
 
-int RunCkptCmd(const Config& cfg, Testbed& tb) {
+Command CkptCmd(const Config& cfg) {
   CkptOptions o;
   o.dram_bytes = cfg.GetBytes("dram", o.dram_bytes);
   o.nvm_bytes = cfg.GetBytes("nvm", o.nvm_bytes);
   o.dirty_fraction = cfg.GetDouble("dirty", 0.1);
   o.timesteps = static_cast<int>(cfg.GetInt("steps", 3));
   o.link_nvm = cfg.GetBool("link", true);
-  auto r = RunCheckpointStudy(tb, o);
-  std::printf("CHECKPOINT (%s):\n", o.link_nvm ? "linked" : "full-copy");
-  for (size_t s = 0; s < r.steps.size(); ++s) {
-    std::printf("  t%zu: %.3f s, SSD writes %s\n", s, r.steps[s].seconds,
-                FormatBytes(r.steps[s].ssd_bytes_written).c_str());
-  }
-  std::printf("  restart verified: %s; old checkpoint intact: %s\n",
-              r.restart_verified ? "yes" : "NO",
-              r.old_checkpoint_intact ? "yes" : "NO");
-  return (r.restart_verified && r.old_checkpoint_intact) ? 0 : 1;
+  return [o](Testbed& tb) {
+    auto r = RunCheckpointStudy(tb, o);
+    std::printf("CHECKPOINT (%s):\n", o.link_nvm ? "linked" : "full-copy");
+    for (size_t s = 0; s < r.steps.size(); ++s) {
+      std::printf("  t%zu: %.3f s, SSD writes %s\n", s, r.steps[s].seconds,
+                  FormatBytes(r.steps[s].ssd_bytes_written).c_str());
+    }
+    std::printf("  restart verified: %s; old checkpoint intact: %s\n",
+                r.restart_verified ? "yes" : "NO",
+                r.old_checkpoint_intact ? "yes" : "NO");
+    return (r.restart_verified && r.old_checkpoint_intact) ? 0 : 1;
+  };
 }
 
 }  // namespace
@@ -284,9 +302,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", from_file.status().ToString().c_str());
       return 2;
     }
-    // Command-line keys override file keys.
+    // Command-line keys override file keys (`config` itself was read).
     Config merged = *from_file;
-    for (const auto& [k, v] : cfg.values()) merged.Set(k, v);
+    for (const auto& [k, v] : cfg.values()) {
+      if (k != "config") merged.Set(k, v);
+    }
     cfg = merged;
   }
 
@@ -295,19 +315,18 @@ int main(int argc, char** argv) {
   if (workload == "mm" && cfg.Has("z") && !cfg.Has("benefactors")) {
     cfg.Set("benefactors", cfg.GetString("z"));
   }
-  Testbed tb(BuildTestbed(cfg));
-
-  int rc = 2;
+  const TestbedOptions options = BuildTestbed(cfg);
+  Command run;
   if (workload == "stream") {
-    rc = RunStreamCmd(cfg, tb);
+    run = StreamCmd(cfg);
   } else if (workload == "mm") {
-    rc = RunMmCmd(cfg, tb);
+    run = MmCmd(cfg);
   } else if (workload == "sort") {
-    rc = RunSortCmd(cfg, tb);
+    run = SortCmd(cfg);
   } else if (workload == "randwrite") {
-    rc = RunRandWriteCmd(cfg, tb);
+    run = RandWriteCmd(cfg);
   } else if (workload == "checkpoint") {
-    rc = RunCkptCmd(cfg, tb);
+    run = CkptCmd(cfg);
   } else {
     std::fprintf(stderr,
                  "unknown workload '%s' (stream|mm|sort|randwrite|"
@@ -315,8 +334,21 @@ int main(int argc, char** argv) {
                  workload.c_str());
     return 2;
   }
+  const bool report = cfg.GetBool("report", true);
+  const std::vector<std::string> unread = cfg.UnreadKeys();
+  if (!unread.empty()) {
+    std::fprintf(stderr, "unknown key(s) for workload '%s':",
+                 workload.c_str());
+    for (const std::string& key : unread) {
+      std::fprintf(stderr, " %s", key.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    return 2;
+  }
 
-  if (cfg.GetBool("report", true)) {
+  Testbed tb(options);
+  const int rc = run(tb);
+  if (report) {
     const auto mounts =
         CollectMountStats(tb, static_cast<size_t>(cfg.GetInt("nodes", 16)));
     std::printf("\nstore status:\n%s",

@@ -2,11 +2,14 @@
 //
 // Accepts "key=value" tokens (command-line args or file lines; '#' starts
 // a comment).  Typed getters with defaults; byte sizes accept K/M/G
-// suffixes (binary).
+// suffixes (binary).  Every getter records the key it read, so a tool can
+// reject the keys nothing read (a typo, or a knob that no longer exists)
+// instead of silently running without them.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -39,8 +42,16 @@ class Config {
 
   const std::map<std::string, std::string>& values() const { return values_; }
 
+  // Keys set but never read through a getter (Has() does not count), in
+  // key order.
+  std::vector<std::string> UnreadKeys() const;
+
  private:
+  // Looks `key` up and records it as read.
+  const std::string* Find(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace nvm

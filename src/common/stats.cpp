@@ -1,8 +1,7 @@
 #include "common/stats.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace nvm {
 
@@ -44,57 +43,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void LatencyHistogram::Record(uint64_t value_ns) {
-  const int bucket =
-      (value_ns == 0) ? 0 : (63 - std::countl_zero(value_ns));
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  total_.fetch_add(value_ns, std::memory_order_relaxed);
-}
-
-uint64_t LatencyHistogram::count() const {
-  uint64_t n = 0;
-  for (const auto& b : buckets_) n += b.load(std::memory_order_relaxed);
-  return n;
-}
-
-double LatencyHistogram::mean() const {
-  const uint64_t n = count();
-  if (n == 0) return 0.0;
-  return static_cast<double>(total()) / static_cast<double>(n);
-}
-
-uint64_t LatencyHistogram::Percentile(double p) const {
-  const uint64_t n = count();
-  if (n == 0) return 0;
-  const auto target = static_cast<uint64_t>(
-      std::ceil(p / 100.0 * static_cast<double>(n)));
-  uint64_t seen = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    seen += buckets_[b].load(std::memory_order_relaxed);
-    if (seen >= target) {
-      // Midpoint of [2^b, 2^(b+1)).
-      const uint64_t lo = (b == 0) ? 0 : (1ULL << b);
-      const uint64_t hi = (b >= 63) ? lo : (1ULL << (b + 1));
-      return lo + (hi - lo) / 2;
-    }
-  }
-  return 1ULL << (kBuckets - 1);
-}
-
-std::string LatencyHistogram::Summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%llu mean=%.0fns p50=%lluns p99=%lluns",
-                static_cast<unsigned long long>(count()), mean(),
-                static_cast<unsigned long long>(Percentile(50)),
-                static_cast<unsigned long long>(Percentile(99)));
-  return buf;
-}
-
-void LatencyHistogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  total_.store(0, std::memory_order_relaxed);
-}
 
 }  // namespace nvm

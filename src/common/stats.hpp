@@ -1,11 +1,8 @@
-// Running statistics and log-scale latency histograms for instrumentation.
+// Running statistics and counters for instrumentation.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 namespace nvm {
 
@@ -31,27 +28,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-// Lock-free log2-bucketed histogram for latency-like values (ns).  Each
-// bucket b counts values in [2^b, 2^(b+1)).  Percentiles are approximate
-// (bucket midpoint), which is plenty for performance reporting.
-class LatencyHistogram {
- public:
-  static constexpr int kBuckets = 64;
-
-  void Record(uint64_t value_ns);
-  uint64_t count() const;
-  uint64_t total() const { return total_.load(std::memory_order_relaxed); }
-  double mean() const;
-  // Approximate p-th percentile (p in [0,100]).
-  uint64_t Percentile(double p) const;
-  std::string Summary() const;
-  void Reset();
-
- private:
-  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
-  std::atomic<uint64_t> total_{0};  // sum of recorded values
 };
 
 // A named monotonically increasing counter (bytes moved, ops served...).

@@ -90,15 +90,7 @@ SsdDevice::SsdDevice(std::string name, const DeviceProfile& profile,
       wear_leveling_(wear_leveling) {}
 
 void SsdDevice::ChargeRead(VirtualClock& clock, uint64_t offset,
-                           uint64_t bytes) {
-  (void)offset;
-  host_bytes_read_.Add(bytes);
-  channel_.Acquire(clock, TransferNs(bytes, profile_.read_bw_mbps,
-                                     profile_.read_latency_ns));
-}
-
-void SsdDevice::ChargeRunRead(VirtualClock& clock, uint64_t offset,
-                              uint64_t bytes, bool first_in_run) {
+                           uint64_t bytes, bool first_in_run) {
   (void)offset;
   host_bytes_read_.Add(bytes);
   channel_.Acquire(
@@ -107,18 +99,7 @@ void SsdDevice::ChargeRunRead(VirtualClock& clock, uint64_t offset,
 }
 
 void SsdDevice::ChargeWrite(VirtualClock& clock, uint64_t offset,
-                            uint64_t bytes) {
-  ChargeWriteInternal(clock, offset, bytes, profile_.write_latency_ns);
-}
-
-void SsdDevice::ChargeRunWrite(VirtualClock& clock, uint64_t offset,
-                               uint64_t bytes, bool first_in_run) {
-  ChargeWriteInternal(clock, offset, bytes,
-                      first_in_run ? profile_.write_latency_ns : 0);
-}
-
-void SsdDevice::ChargeWriteInternal(VirtualClock& clock, uint64_t offset,
-                                    uint64_t bytes, int64_t latency_ns) {
+                            uint64_t bytes, bool first_in_run) {
   if (bytes == 0) return;
   host_bytes_written_.Add(bytes);
   // Flash programs whole pages: the device touches every page the byte
@@ -151,8 +132,9 @@ void SsdDevice::ChargeWriteInternal(VirtualClock& clock, uint64_t offset,
     }
   }
 
-  channel_.Acquire(clock, TransferNs(programmed, profile_.write_bw_mbps,
-                                     latency_ns));
+  channel_.Acquire(
+      clock, TransferNs(programmed, profile_.write_bw_mbps,
+                        first_in_run ? profile_.write_latency_ns : 0));
 }
 
 double SsdDevice::write_amplification() const {

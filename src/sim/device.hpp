@@ -65,22 +65,13 @@ class SsdDevice {
   // Charge a read/write of `bytes` at device offset `offset` to `clock`.
   // Writes are rounded up to whole flash pages (the device cannot program
   // less than a page) and bump the erase counter of each touched block.
-  void ChargeRead(VirtualClock& clock, uint64_t offset, uint64_t bytes);
-  void ChargeWrite(VirtualClock& clock, uint64_t offset, uint64_t bytes);
-
-  // Charge one chunk of a streamed multi-chunk read (a read run): the run
-  // occupies a single command/queueing slot, so only its first chunk pays
-  // the per-request fixed latency; later chunks stream at bandwidth.  With
-  // `first_in_run` true this is exactly ChargeRead.
-  void ChargeRunRead(VirtualClock& clock, uint64_t offset, uint64_t bytes,
-                     bool first_in_run);
-
-  // Write-side counterpart: one chunk of a streamed multi-chunk write run.
-  // Page rounding and wear accounting are identical to ChargeWrite; only
-  // the first chunk of the run pays the per-request write latency.  With
-  // `first_in_run` true this is exactly ChargeWrite.
-  void ChargeRunWrite(VirtualClock& clock, uint64_t offset, uint64_t bytes,
-                      bool first_in_run);
+  // A request is one command/queueing slot and pays the per-request fixed
+  // latency once: a streamed multi-chunk run (a run RPC) charges its later
+  // chunks with `first_in_run` false, so they stream at bandwidth.
+  void ChargeRead(VirtualClock& clock, uint64_t offset, uint64_t bytes,
+                  bool first_in_run = true);
+  void ChargeWrite(VirtualClock& clock, uint64_t offset, uint64_t bytes,
+                   bool first_in_run = true);
 
   const DeviceProfile& profile() const { return profile_; }
   Resource& channel() { return channel_; }
@@ -103,9 +94,6 @@ class SsdDevice {
   void ResetStats();
 
  private:
-  void ChargeWriteInternal(VirtualClock& clock, uint64_t offset,
-                           uint64_t bytes, int64_t latency_ns);
-
   DeviceProfile profile_;
   Resource channel_;
   const bool wear_leveling_;

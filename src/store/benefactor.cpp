@@ -180,42 +180,6 @@ Benefactor::CopyOut Benefactor::CopyOutLocked(const StoredChunk& chunk,
   return copy;
 }
 
-Status Benefactor::ReadChunk(sim::VirtualClock& clock, const ChunkKey& key,
-                             std::span<uint8_t> out, bool* sparse,
-                             TenantId tenant) {
-  NVM_RETURN_IF_ERROR(EnsureAlive());
-  read_requests_.Add(1);
-  NVM_CHECK(out.size() == config_.chunk_bytes);
-  if (sparse != nullptr) *sparse = false;
-  CopyOut copy;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = chunks_.find(key);
-    if (it == chunks_.end()) {
-      // Reserved-but-never-written chunk: sparse read, all zeros, no
-      // device access.
-      std::memset(out.data(), 0, out.size());
-      if (sparse != nullptr) *sparse = true;
-      return OkStatus();
-    }
-    copy = CopyOutLocked(it->second, out);
-  }
-  AdmitTransfer(clock, tenant, config_.chunk_bytes, /*is_write=*/false,
-                config_.chunk_bytes);
-  node_.ssd().ChargeRead(clock, copy.offset, config_.chunk_bytes);
-  data_bytes_out_.Add(config_.chunk_bytes);
-  // Verify before serving: bit rot must never reach a reader.
-  if (copy.verified) {
-    clock.Advance(config_.checksum_ns(config_.chunk_bytes));
-    if (!copy.intact) {
-      return Corrupt("benefactor " + std::to_string(id_) +
-                     ": checksum mismatch on " + key.ToString());
-    }
-  }
-  MaybeKillAfterRead();
-  return OkStatus();
-}
-
 Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
                                 std::span<const ChunkKey> keys,
                                 std::span<const std::span<uint8_t>> outs,
@@ -261,18 +225,20 @@ Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
     // gaps other tenants backfill instead of one multi-millisecond hog.
     AdmitTransfer(clock, tenant, config_.chunk_bytes, /*is_write=*/false,
                   config_.chunk_bytes);
-    node_.ssd().ChargeRunRead(clock, copy->offset, config_.chunk_bytes,
-                              first_data_chunk);
+    node_.ssd().ChargeRead(clock, copy->offset, config_.chunk_bytes,
+                           first_data_chunk);
     first_data_chunk = false;
     data_bytes_out_.Add(config_.chunk_bytes);
     // Verify before the chunk enters the reply stream; a mismatch aborts
-    // the whole run (like a mid-run death, but with CORRUPT) and the
-    // caller falls back to per-chunk reads with replica failover.
+    // the whole run (like a mid-run death, but with CORRUPT) once the
+    // check that found it is done, and the caller falls over to another
+    // replica.
     if (copy->verified) {
       verify_done_ns = std::max(verify_done_ns, clock.now()) +
                        config_.checksum_ns(config_.chunk_bytes);
       verified_any = true;
       if (!copy->intact) {
+        clock.AdvanceTo(verify_done_ns);
         return Corrupt("benefactor " + std::to_string(id_) +
                        ": checksum mismatch on " + key.ToString() +
                        " mid-run");
@@ -401,39 +367,6 @@ Status Benefactor::VerifyChunk(sim::VirtualClock& clock, const ChunkKey& key,
   return OkStatus();
 }
 
-Status Benefactor::WritePages(sim::VirtualClock& clock, const ChunkKey& key,
-                              const Bitmap& dirty_pages,
-                              std::span<const uint8_t> data,
-                              const uint32_t* crc, uint32_t* stored_crc,
-                              TenantId /*tenant*/) {
-  NVM_RETURN_IF_ERROR(EnsureAlive());
-  write_requests_.Add(1);
-  NVM_CHECK(data.size() == config_.chunk_bytes);
-  NVM_CHECK(dirty_pages.size() == config_.pages_per_chunk());
-
-  const MergeResult merge =
-      MergeDirtyPages(clock, key, dirty_pages, data, crc, stored_crc);
-  if (merge.base_corrupt) {
-    return Corrupt("benefactor " + std::to_string(id_) +
-                   ": pre-image checksum mismatch merging into " +
-                   key.ToString());
-  }
-  // Charge the device only for the dirty pages.  Pages within one chunk are
-  // contiguous enough that we charge them as one request per dirty run; a
-  // single combined request keeps the model simple and matches the paper's
-  // "send only the dirty pages" accounting.
-  if (merge.pages_written > 0) {
-    const uint64_t bytes = merge.pages_written * config_.page_bytes;
-    // No admission here: the caller admitted BEFORE shipping the dirty
-    // pages over the wire (see AdmitTransfer's contract in the header).
-    node_.ssd().ChargeWrite(clock, merge.offset, bytes);
-    data_bytes_in_.Add(bytes);
-    MaybeKillAfterWrite();
-    MaybeCorruptAfterWrite();
-  }
-  return OkStatus();
-}
-
 Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
                                  std::span<const ChunkWriteItem> items,
                                  const ChunkRunSend& send, TenantId tenant) {
@@ -451,9 +384,8 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
     NVM_CHECK(item.dirty->size() == config_.pages_per_chunk());
 
     if (item.needs_clone) {
-      // The clone instruction is its own control message (exactly as in
-      // the per-chunk path); the local copy must complete before the
-      // dirty pages can land on the fresh version.
+      // The clone instruction is its own control message; the local copy
+      // must complete before the dirty pages can land on the fresh version.
       const int64_t instr_at =
           send(RunMsg::kControl, t0, config_.meta_request_bytes);
       clock.AdvanceTo(instr_at);
@@ -475,8 +407,8 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
                         item.has_crc ? &item.crc : nullptr, item.stored_crc);
     if (merge.base_corrupt) {
       // The whole run aborts (the stream protocol has no per-item status);
-      // the caller falls back to per-chunk writes, where the corrupt
-      // replica is reported and the healthy ones still land.
+      // the caller retries each item in a run of its own, where the
+      // corrupt replica is reported and the healthy items still land.
       return Corrupt("benefactor " + std::to_string(id_) +
                      ": pre-image checksum mismatch merging into " +
                      item.key.ToString() + " mid-run");
@@ -485,11 +417,9 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
       const uint64_t bytes = merge.pages_written * config_.page_bytes;
       // The run occupies one device queueing slot: the first programmed
       // chunk pays the per-request write latency, the rest stream at
-      // bandwidth.  QoS admits chunk-by-chunk so a throttled writer's run
-      // yields the device between chunks.
-      AdmitTransfer(clock, tenant, bytes, /*is_write=*/true,
-                    /*wire_bytes=*/0);
-      node_.ssd().ChargeRunWrite(clock, merge.offset, bytes, first_data_chunk);
+      // bandwidth.  No admission here: `send` admitted the payload before
+      // it went on the wire (see AdmitTransfer's contract).
+      node_.ssd().ChargeWrite(clock, merge.offset, bytes, first_data_chunk);
       first_data_chunk = false;
       data_bytes_in_.Add(bytes);
       MaybeKillAfterWrite();

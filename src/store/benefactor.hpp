@@ -57,53 +57,36 @@ class Benefactor {
 
   // --- data plane (invoked by StoreClient after a location lookup) ---
 
-  // Read the full chunk into `out` (out.size() == chunk_bytes).  A chunk
-  // that was reserved but never written reads as zeros without touching
-  // the device (the backing file is sparse); `*sparse` reports this so the
-  // client can skip the wire transfer (an ENOENT-for-the-chunk-file, as in
-  // the paper's store).  With config.verify_reads the stored bytes are
-  // copied into `out` and checksummed in the same pass (Crc32cCopy; CPU
-  // charged at checksum_bw_gbps), so the bytes checked are exactly the
-  // bytes delivered.  A mismatch fails the read with CORRUPT, and `out`
-  // then holds unspecified bytes that the caller must not use — true of
-  // every read below whose destination fails its check.
-  Status ReadChunk(sim::VirtualClock& clock, const ChunkKey& key,
-                   std::span<uint8_t> out, bool* sparse = nullptr,
-                   TenantId tenant = kTenantForeground);
-
-  // Multi-chunk streamed read — the run RPC.  One call is ONE request at
-  // this benefactor (one header, one device queueing slot): each stored
-  // chunk is charged to the device on `clock` (reads of a run serialise on
-  // the SSD channel), but only the first pays the per-request read
-  // latency.  Chunk keys[i] is copied (and, like ReadChunk, verified in
-  // the same pass) straight into outs[i] (chunk_bytes each); a sparse
-  // chunk skips the device and reads as zeros.  Each chunk is then handed
-  // to `sink` in request order, stamped with its device completion time.
-  // If the benefactor dies mid-run the whole run fails with UNAVAILABLE,
-  // and a chunk failing its check fails it with CORRUPT: either way the
-  // caller must discard every destination of the run (no partial runs are
-  // surfaced; the failing chunk's destination holds unspecified bytes).
+  // Multi-chunk streamed read — the run RPC, and the only chunk read
+  // there is.  One call is ONE request at this benefactor (one header, one
+  // device queueing slot): each stored chunk is charged to the device on
+  // `clock` (reads of a run serialise on the SSD channel), but only the
+  // first pays the per-request read latency.  Chunk keys[i] is copied
+  // straight into outs[i] (chunk_bytes each); with config.verify_reads the
+  // copy checksums the bytes in the same pass (Crc32cCopy; CPU charged at
+  // checksum_bw_gbps), so the bytes checked are exactly the bytes
+  // delivered.  A chunk that was reserved but never written reads as
+  // zeros without touching the device (the backing file is sparse) and is
+  // reported `sparse`, so the client ships only a "no such chunk" marker.
+  // Each chunk is then handed to `sink` in request order, stamped with
+  // its device (or verification) completion time.  If the benefactor dies
+  // mid-run the whole run fails with UNAVAILABLE.  A chunk failing its
+  // check fails the run with CORRUPT, and `clock` has then paid that
+  // chunk's verification (the hash had to run to find the mismatch).
+  // Either way the caller must discard every destination of the run (no
+  // partial runs are surfaced; the failing chunk's destination holds
+  // unspecified bytes).
   Status ReadChunkRun(sim::VirtualClock& clock, std::span<const ChunkKey> keys,
                       std::span<const std::span<uint8_t>> outs,
                       const ChunkRunSink& sink,
                       TenantId tenant = kTenantForeground);
-
-  // Write the pages marked in `dirty_pages` from the chunk image `data`
-  // into the stored chunk, materialising it if absent.  Only dirty pages
-  // are charged to the device — this is the write-optimisation path of
-  // Table VII.  `crc` is the caller-computed CRC32C of the full image:
-  // stored verbatim when the dirty set covers the whole chunk, otherwise
-  // (partial write, or no crc supplied) the benefactor recomputes over the
-  // merged image, charging the checksum CPU cost.  Ignored when both
-  // integrity knobs are off.  `stored_crc` (when non-null) returns the CRC
-  // actually stored with the chunk — the merged-image value on a partial
-  // write — which is what the caller must hand the manager as the
-  // authoritative checksum.
-  Status WritePages(sim::VirtualClock& clock, const ChunkKey& key,
-                    const Bitmap& dirty_pages, std::span<const uint8_t> data,
-                    const uint32_t* crc = nullptr,
-                    uint32_t* stored_crc = nullptr,
-                    TenantId tenant = kTenantForeground);
+  // A run of one; `*sparse` reports a hole.
+  Status ReadChunk(sim::VirtualClock& clock, const ChunkKey& key,
+                   std::span<uint8_t> out, bool* sparse = nullptr,
+                   TenantId tenant = kTenantForeground) {
+    return ReadChunkRun(clock, {&key, 1}, {&out, 1}, NoteSparse(sparse),
+                        tenant);
+  }
 
   // Scrub support: re-read the stored chunk off the device, recompute its
   // CRC32C (both charged to `clock`) and compare against the manager's
@@ -115,19 +98,38 @@ class Benefactor {
                      uint32_t expected_crc, bool* sparse = nullptr,
                      TenantId tenant = kTenantMaintenance);
 
-  // Multi-chunk streamed write — the write-side run RPC.  One call is ONE
-  // request at this benefactor (one header, one device queueing slot).
-  // The client streams each item's messages via `send` (clone instructions
-  // as kControl, dirty pages as kPayload; the first payload also carries
-  // the run header): the NIC pipelines them in order while the device
-  // serialises on `clock`, and only the first programmed chunk pays the
-  // per-request write latency.  If the benefactor dies mid-run the whole
-  // run fails with UNAVAILABLE and the caller must treat every item as
-  // unwritten on this replica.
+  // Multi-chunk streamed write — the write-side run RPC, and the only
+  // chunk write there is.  One call is ONE request at this benefactor (one
+  // header, one device queueing slot).  The sender streams each item's
+  // messages via `send` (clone instructions as kControl, dirty pages as
+  // kPayload; the first payload also carries the run header) and admits
+  // each payload before it goes on the wire: the NIC pipelines them in
+  // order while the device serialises on `clock`, and only the first
+  // programmed chunk pays the per-request write latency.  Each item lands
+  // only its dirty pages on the stored chunk (materialising it if absent)
+  // and only those are charged to the device — the write-optimisation
+  // path of Table VII.  An item's crc is stored verbatim when its dirty
+  // set covers the whole chunk; otherwise (partial write, or no crc) the
+  // benefactor checksums the merged image, charging the checksum CPU
+  // cost, and `stored_crc` returns what was stored — the value the caller
+  // must hand the manager as authoritative.  If the benefactor dies
+  // mid-run the whole run fails with UNAVAILABLE, and a partial item whose
+  // stored base fails its checksum fails it with CORRUPT; either way the
+  // caller must treat every item as unwritten on this replica.
   Status WriteChunkRun(sim::VirtualClock& clock,
                        std::span<const ChunkWriteItem> items,
                        const ChunkRunSend& send,
                        TenantId tenant = kTenantForeground);
+  // A run of one whose pages are already here (no wire, no admission).
+  Status WritePages(sim::VirtualClock& clock, const ChunkKey& key,
+                    const Bitmap& dirty_pages, std::span<const uint8_t> data,
+                    const uint32_t* crc = nullptr,
+                    uint32_t* stored_crc = nullptr,
+                    TenantId tenant = kTenantForeground) {
+    const ChunkWriteItem item =
+        MakeWriteItem(key, dirty_pages, data, crc, stored_crc);
+    return WriteChunkRun(clock, {&item, 1}, LocalRunSend, tenant);
+  }
 
   // --- erasure-coded fragment plane ---
   // A fragment is stored under the chunk's plain ChunkKey (failure-domain
@@ -196,11 +198,11 @@ class Benefactor {
   // store traffic (excludes unrelated users of the same SSD).
   uint64_t data_bytes_in() const { return data_bytes_in_.value(); }
   uint64_t data_bytes_out() const { return data_bytes_out_.value(); }
-  // Read-plane requests served: every ReadChunk and every ReadChunkRun
-  // counts once — the "request header + queueing slot" unit the run RPC
-  // amortises across a batch.
+  // Read-plane requests served: every ReadChunkRun counts once — the
+  // "request header + queueing slot" unit the run RPC amortises across a
+  // batch.
   uint64_t read_requests() const { return read_requests_.value(); }
-  // Write-plane requests served: every WritePages and every WriteChunkRun
+  // Write-plane requests served: every WriteChunkRun (and WriteFragment)
   // counts once — the unit the write run RPC amortises across a window.
   uint64_t write_requests() const { return write_requests_.value(); }
   // Scrub verification requests served (kept out of read_requests so the
@@ -229,9 +231,10 @@ class Benefactor {
   // Callers that ship chunk data to this benefactor MUST admit before
   // booking the wire transfer: admission is the request's entry gate, and
   // bytes sent ahead of it would occupy the NIC in front of tenants the
-  // scheduler is protecting.  WritePages/WriteFragment therefore do NOT
-  // re-admit internally; the read RPCs admit themselves (their payload
-  // crosses the wire after the device read, behind the admission point).
+  // scheduler is protecting.  WriteChunkRun/WriteFragment therefore do
+  // NOT admit internally (a write run's `send` admits each payload); the
+  // read RPCs admit themselves (their payload crosses the wire after the
+  // device read, behind the admission point).
   void AdmitTransfer(sim::VirtualClock& clock, TenantId tenant,
                      uint64_t ssd_bytes, bool is_write, uint64_t wire_bytes);
 
@@ -273,7 +276,7 @@ class Benefactor {
     size_t pages_written = 0;   // dirty pages landed on the image
     bool base_corrupt = false;  // nothing landed: the base failed its crc
   };
-  // The merge step of WritePages and WriteChunkRun: land the `dirty`
+  // The merge step of WriteChunkRun: land the `dirty`
   // pages of `data` on the stored image of `key` (a fresh zero image when
   // absent) and record the chunk's checksum — the client's `crc` verbatim
   // for a full-image write, else the merged image's.  A partial-dirty

@@ -66,38 +66,20 @@ StatusOr<uint64_t> StoreClient::LinkFileChunks(sim::VirtualClock& clock,
   return manager_.LinkFileChunks(clock, dst, src);
 }
 
-StatusOr<ReadLocation> StoreClient::LookupRead(sim::VirtualClock& clock,
-                                               FileId id,
-                                               uint32_t chunk_index,
-                                               bool refresh) {
-  const LocKey key{id, chunk_index};
+StatusOr<std::vector<ReadLocation>> StoreClient::ResolveReads(
+    sim::VirtualClock& clock, FileId id, uint32_t first, uint32_t count,
+    bool refresh) {
   if (!refresh) {
-    std::lock_guard<std::mutex> lock(loc_mutex_);
-    auto it = loc_cache_.find(key);
-    if (it != loc_cache_.end()) return it->second;
-  }
-  ChargeMetaRoundTrip(clock);
-  NVM_ASSIGN_OR_RETURN(ReadLocation loc,
-                       manager_.GetReadLocation(clock, id, chunk_index));
-  std::lock_guard<std::mutex> lock(loc_mutex_);
-  loc_cache_[key] = loc;
-  return loc;
-}
-
-Status StoreClient::LookupReadMany(sim::VirtualClock& clock, FileId id,
-                                   uint32_t first, uint32_t count) {
-  if (count == 0) return OkStatus();
-  bool all_cached = true;
-  {
+    std::vector<ReadLocation> cached;
+    cached.reserve(count);
     std::lock_guard<std::mutex> lock(loc_mutex_);
     for (uint32_t i = 0; i < count; ++i) {
-      if (!loc_cache_.contains(LocKey{id, first + i})) {
-        all_cached = false;
-        break;
-      }
+      auto it = loc_cache_.find(LocKey{id, first + i});
+      if (it == loc_cache_.end()) break;
+      cached.push_back(it->second);
     }
+    if (cached.size() == count) return cached;
   }
-  if (all_cached) return OkStatus();
   ChargeMetaRoundTrip(clock);
   NVM_ASSIGN_OR_RETURN(std::vector<ReadLocation> locs,
                        manager_.GetReadLocations(clock, id, first, count));
@@ -105,7 +87,12 @@ Status StoreClient::LookupReadMany(sim::VirtualClock& clock, FileId id,
   for (uint32_t i = 0; i < locs.size(); ++i) {
     loc_cache_[LocKey{id, first + i}] = locs[i];
   }
-  return OkStatus();
+  return locs;
+}
+
+Status StoreClient::LookupReadMany(sim::VirtualClock& clock, FileId id,
+                                   uint32_t first, uint32_t count) {
+  return ResolveReads(clock, id, first, count, /*refresh=*/false).status();
 }
 
 void StoreClient::InvalidateLocation(FileId id, uint32_t chunk_index) {
@@ -113,26 +100,17 @@ void StoreClient::InvalidateLocation(FileId id, uint32_t chunk_index) {
   loc_cache_.erase(LocKey{id, chunk_index});
 }
 
-Status StoreClient::ReadChunk(sim::VirtualClock& clock, FileId id,
-                              uint32_t chunk_index, std::span<uint8_t> out) {
-  const int64_t t0 = clock.now();
-  Status s = ReadChunkInner(clock, id, chunk_index, out);
-  if (s.ok() && qos_ != nullptr) qos_->RecordRead(tenant_, clock.now() - t0);
-  return s;
-}
-
-Status StoreClient::ReadChunkInner(sim::VirtualClock& clock, FileId id,
-                                   uint32_t chunk_index,
-                                   std::span<uint8_t> out) {
-  const StoreConfig& cfg = manager_.config();
-  NVM_CHECK(out.size() == cfg.chunk_bytes);
-
+Status StoreClient::ReadFailover(sim::VirtualClock& clock, FileId id,
+                                 uint32_t chunk_index,
+                                 std::span<uint8_t> out) {
+  NVM_CHECK(out.size() == manager_.config().chunk_bytes);
   for (int attempt = 0; attempt < 2; ++attempt) {
     // Second attempt forces a fresh manager lookup (the cached location
     // may be stale after a COW or a benefactor failure).
     NVM_ASSIGN_OR_RETURN(
-        ReadLocation loc,
-        LookupRead(clock, id, chunk_index, /*refresh=*/attempt > 0));
+        std::vector<ReadLocation> resolved,
+        ResolveReads(clock, id, chunk_index, 1, /*refresh=*/attempt > 0));
+    const ReadLocation& loc = resolved.front();
 
     if (loc.ec) {
       Status s = ReadStripe(clock, id, chunk_index, loc, out);
@@ -145,22 +123,13 @@ Status StoreClient::ReadChunkInner(sim::VirtualClock& clock, FileId id,
       continue;
     }
 
+    ChunkFetch fetch{chunk_index, out};
     Status last = Unavailable("no replicas");
     for (int bid : loc.benefactors) {
-      Benefactor* b = manager_.benefactor(bid);
-      NVM_CHECK(b != nullptr);
-      // Request message to the benefactor, then the chunk comes back.
-      cluster_.network().Transfer(clock, local_node_, b->node_id(),
-                                  cfg.meta_request_bytes);
-      bool sparse = false;
-      Status s = b->ReadChunk(clock, loc.key, out, &sparse, tenant_);
+      Status s = ReadRun(clock, BenefactorRun{bid, {0}}, {&loc, 1},
+                         {&fetch, 1});
       if (s.ok()) {
-        // A hole costs only the "no such chunk" reply, not a data
-        // transfer.
-        cluster_.network().Transfer(
-            clock, b->node_id(), local_node_,
-            sparse ? cfg.meta_response_bytes : cfg.chunk_bytes);
-        if (!sparse) bytes_fetched_.Add(cfg.chunk_bytes);
+        clock.AdvanceTo(fetch.ready_at);
         return OkStatus();
       }
       last = s;
@@ -381,50 +350,42 @@ Status StoreClient::ReadChunksInner(sim::VirtualClock& clock, FileId id,
     hi = std::max(hi, f.index);
   }
   // One control-plane hop covers the whole span (present chunks included —
-  // the extra locations just warm the cache).
-  NVM_RETURN_IF_ERROR(LookupReadMany(clock, id, lo, hi - lo + 1));
+  // the extra locations just warm the cache).  The span is clamped at EOF.
+  NVM_ASSIGN_OR_RETURN(std::vector<ReadLocation> span,
+                       ResolveReads(clock, id, lo, hi - lo + 1,
+                                    /*refresh=*/false));
   const int64_t t0 = clock.now();
 
-  // Erasure stripes scatter a chunk across k+m benefactors, so there is no
-  // primary holder to stream a run from: every chunk takes the per-chunk
-  // stripe path on its own detached clock.
-  if (!cfg.batch_rpc || cfg.ec()) {
-    for (ChunkFetch& f : fetches) {
-      // Each transfer branches off the post-lookup time: requests to
-      // distinct benefactors overlap, and shared NICs/devices serialise
-      // naturally through their modelled resources.  The location cache is
-      // already warm, so ReadChunk issues no further lookups unless a
-      // replica fails.
-      sim::VirtualClock detached(t0);
-      f.status = ReadChunkInner(detached, id, f.index, f.out);
-      f.ready_at = detached.now();
-    }
-    return OkStatus();
-  }
-
-  // Resolve the batch from the (just warmed) location cache.  A fetch with
-  // no cached location (beyond EOF) keeps the per-chunk path so it reports
-  // the usual per-chunk error.
+  // Every transfer branches off the post-lookup time: requests to
+  // distinct benefactors overlap, and shared NICs/devices serialise
+  // naturally through their modelled resources.  A chunk beyond EOF takes
+  // the per-chunk path, which reports the usual per-chunk error, and so
+  // does every erasure-coded chunk: a stripe scatters it across k+m
+  // benefactors, so there is no primary holder to stream a run from.
   std::vector<ReadLocation> locs(fetches.size());
-  {
-    std::lock_guard<std::mutex> lock(loc_mutex_);
-    for (size_t i = 0; i < fetches.size(); ++i) {
-      auto it = loc_cache_.find(LocKey{id, fetches[i].index});
-      if (it != loc_cache_.end()) locs[i] = it->second;
-    }
-  }
   for (size_t i = 0; i < fetches.size(); ++i) {
+    const uint32_t at = fetches[i].index - lo;
+    if (!cfg.ec() && at < span.size() && !span[at].ec) locs[i] = span[at];
     if (!locs[i].benefactors.empty()) continue;
     sim::VirtualClock detached(t0);
-    fetches[i].status = ReadChunkInner(detached, id, fetches[i].index,
-                                       fetches[i].out);
+    fetches[i].status =
+        ReadFailover(detached, id, fetches[i].index, fetches[i].out);
     fetches[i].ready_at = detached.now();
   }
 
-  // One streamed run per benefactor, each on its own clock branched at the
-  // post-lookup time, so runs against distinct benefactors overlap.
-  for (const BenefactorRun& run : Manager::GroupByPrimaryBenefactor(locs)) {
+  // One streamed run per primary benefactor (split at max_run_chunks),
+  // each on its own clock branched at the post-lookup time.
+  for (const BenefactorRun& run :
+       Manager::GroupByPrimaryBenefactor(locs, cfg.max_run_chunks)) {
     sim::VirtualClock run_clock(t0);
+    if (run.items.size() == 1) {
+      // A run of one is the failover path's first attempt: a failure
+      // moves on to the next replica, with nothing to discard.
+      ChunkFetch& f = fetches[run.items.front()];
+      f.status = ReadFailover(run_clock, id, f.index, f.out);
+      f.ready_at = run_clock.now();
+      continue;
+    }
     Status s = ReadRun(run_clock, run, locs, fetches);
     if (s.ok()) continue;
     if (s.code() == ErrorCode::kUnavailable) {
@@ -440,158 +401,9 @@ Status StoreClient::ReadChunksInner(sim::VirtualClock& clock, FileId id,
     for (size_t idx : run.items) {
       sim::VirtualClock fallback(t0);
       fetches[idx].status =
-          ReadChunkInner(fallback, id, fetches[idx].index, fetches[idx].out);
+          ReadFailover(fallback, id, fetches[idx].index, fetches[idx].out);
       fetches[idx].ready_at = fallback.now();
     }
-  }
-  return OkStatus();
-}
-
-Status StoreClient::WriteReplica(sim::VirtualClock& clock,
-                                 const WriteLocation& loc, int bid,
-                                 const Bitmap& dirty_pages,
-                                 std::span<const uint8_t> chunk_image,
-                                 const uint32_t* crc, uint32_t* stored_crc) {
-  const StoreConfig& cfg = manager_.config();
-  Benefactor* b = manager_.benefactor(bid);
-  NVM_CHECK(b != nullptr);
-  if (loc.needs_clone) {
-    // COW: instruct the benefactor to clone locally before the write.
-    cluster_.network().Transfer(clock, local_node_, b->node_id(),
-                                cfg.meta_request_bytes);
-    NVM_RETURN_IF_ERROR(
-        b->CloneChunk(clock, loc.clone_from, loc.key, tenant_));
-  }
-  // Ship only the dirty pages — admission first: the scheduler gates the
-  // request before its bytes occupy the benefactor's NIC.
-  const uint64_t dirty_bytes = dirty_pages.PopCount() * cfg.page_bytes;
-  b->AdmitTransfer(clock, tenant_, dirty_bytes, /*is_write=*/true,
-                   dirty_bytes + cfg.meta_request_bytes);
-  cluster_.network().Transfer(clock, local_node_, b->node_id(),
-                              dirty_bytes + cfg.meta_request_bytes);
-  NVM_RETURN_IF_ERROR(b->WritePages(clock, loc.key, dirty_pages,
-                                    chunk_image, crc, stored_crc, tenant_));
-  cluster_.network().Transfer(clock, b->node_id(), local_node_,
-                              cfg.meta_response_bytes);
-  return OkStatus();
-}
-
-Status StoreClient::WriteChunkPages(sim::VirtualClock& clock, FileId id,
-                                    uint32_t chunk_index,
-                                    const Bitmap& dirty_pages,
-                                    std::span<const uint8_t> chunk_image) {
-  const int64_t t0 = clock.now();
-  Status s =
-      WriteChunkPagesInner(clock, id, chunk_index, dirty_pages, chunk_image);
-  if (s.ok() && qos_ != nullptr) qos_->RecordWrite(tenant_, clock.now() - t0);
-  return s;
-}
-
-Status StoreClient::WriteChunkPagesInner(sim::VirtualClock& clock, FileId id,
-                                         uint32_t chunk_index,
-                                         const Bitmap& dirty_pages,
-                                         std::span<const uint8_t> chunk_image) {
-  const StoreConfig& cfg = manager_.config();
-  NVM_CHECK(chunk_image.size() == cfg.chunk_bytes);
-  if (dirty_pages.None()) return OkStatus();
-  if (cfg.ec()) {
-    // Every file of an erasure-mode store stripes: writes go full-stripe.
-    return WriteStripe(clock, id, chunk_index, dirty_pages, chunk_image);
-  }
-
-  // Flush-time checksum, charged to the writer before the metadata
-  // round-trip (the batched path charges at the same spot, so a batch of
-  // one stays time-identical to this path).  Only a full-image write
-  // consumes it — replicas store it verbatim — so a partial write skips
-  // the host hash: its authority is the CRC the replica stores after
-  // merging, and the unfaulted pages of the image are unspecified.
-  std::optional<uint32_t> crc;
-  const bool with_crc = cfg.integrity();
-  if (with_crc) {
-    if (dirty_pages.All()) {
-      crc = Crc32c(chunk_image.data(), chunk_image.size());
-    }
-    clock.Advance(cfg.checksum_ns(cfg.chunk_bytes));
-  }
-  ChargeMetaRoundTrip(clock);
-  NVM_ASSIGN_OR_RETURN(WriteLocation loc,
-                       manager_.PrepareWrite(clock, id, chunk_index));
-
-  // Each replica is written on its own clock forked at the post-prepare
-  // time: the transfers and device programs overlap, and the caller pays
-  // max(replica times), not their sum.
-  const uint64_t dirty_bytes = dirty_pages.PopCount() * cfg.page_bytes;
-  const int64_t t0 = clock.now();
-  int64_t done = t0;
-  size_t ok_replicas = 0;
-  bool corrupt_replica = false;
-  // On a partial-dirty write the replicas merge the shipped pages over
-  // their stored base, so the stored image — and with it the checksum the
-  // manager may record — can differ from the client's in-memory image
-  // (whose clean pages may never have been faulted in).  The authority is
-  // the CRC the first successful replica actually stored.
-  uint32_t authority = 0;
-  Status last = Unavailable("no replicas");
-  for (int bid : loc.benefactors) {
-    sim::VirtualClock replica_clock(t0);
-    uint32_t replica_stored = 0;
-    Status s = WriteReplica(replica_clock, loc, bid, dirty_pages, chunk_image,
-                            crc ? &*crc : nullptr,
-                            with_crc ? &replica_stored : nullptr);
-    if (s.ok()) {
-      if (ok_replicas == 0) authority = replica_stored;
-      ++ok_replicas;
-      bytes_flushed_.Add(dirty_bytes);
-      done = std::max(done, replica_clock.now());
-    } else {
-      if (s.code() == ErrorCode::kUnavailable) {
-        manager_.MarkDead(bid);
-        NVM_WLOG("benefactor %d unavailable writing %s; continuing with "
-                 "surviving replicas",
-                 bid, loc.key.ToString().c_str());
-      } else if (s.code() == ErrorCode::kCorrupt) {
-        // The replica's base image failed the pre-merge verification — the
-        // write never landed there.  Quarantine it; repair rebuilds it from
-        // a replica that did take the write.
-        corrupt_replica = true;
-        manager_.ReportCorrupt(replica_clock, loc.key, bid);
-        NVM_WLOG("benefactor %d rejected merge into corrupt %s; replica "
-                 "quarantined",
-                 bid, loc.key.ToString().c_str());
-      }
-      last = s;
-    }
-  }
-  clock.AdvanceTo(done);
-  // Close the prepared write (success or not): lifts the repair fence and
-  // moves the epoch past anything a concurrent repair copied.  The
-  // authoritative checksum is recorded only once a replica holds the data.
-  manager_.CompleteWrite(clock, loc.key,
-                         with_crc && ok_replicas > 0 ? &authority : nullptr);
-
-  if (ok_replicas == 0) {
-    // Nothing holds the (possibly fresh) version: make sure later reads
-    // re-resolve instead of finding a location that has no data.
-    InvalidateLocation(id, chunk_index);
-    return last;
-  }
-  if (ok_replicas < loc.benefactors.size()) {
-    degraded_writes_.Add(1);
-    // Hand the chunk to the background repair queue (no-op when the
-    // maintenance service is off).
-    manager_.ReportDegraded(loc.key, clock.now());
-  }
-  if (corrupt_replica) {
-    // The quarantine stripped (and deleted) a replica this location still
-    // names: force the next read through a fresh manager lookup rather
-    // than let it hit the deleted copy and see sparse zeros.
-    InvalidateLocation(id, chunk_index);
-  } else {
-    // At least one replica holds the data: NOW the read cache may point at
-    // the new chunk version.
-    std::lock_guard<std::mutex> lock(loc_mutex_);
-    loc_cache_[LocKey{id, chunk_index}] =
-        ReadLocation{loc.key, loc.benefactors};
   }
   return OkStatus();
 }
@@ -612,8 +424,8 @@ Status StoreClient::WriteStripe(sim::VirtualClock& clock, FileId id,
   std::span<const uint8_t> full = chunk_image;
   if (dirty_pages.PopCount() < cfg.pages_per_chunk()) {
     merged = std::make_unique_for_overwrite<uint8_t[]>(cfg.chunk_bytes);
-    NVM_RETURN_IF_ERROR(ReadChunkInner(clock, id, chunk_index,
-                                       {merged.get(), cfg.chunk_bytes}));
+    NVM_RETURN_IF_ERROR(ReadFailover(clock, id, chunk_index,
+                                     {merged.get(), cfg.chunk_bytes}));
     dirty_pages.ForEachSet([&](size_t p) {
       std::memcpy(merged.get() + p * cfg.page_bytes,
                   chunk_image.data() + p * cfg.page_bytes, cfg.page_bytes);
@@ -735,31 +547,32 @@ Status StoreClient::WriteRun(sim::VirtualClock& clock,
   items.reserve(run.items.size());
   for (size_t j : run.items) {
     const ChunkWrite& w = writes[active[j]];
-    ChunkWriteItem item;
-    item.key = locs[j].key;
-    item.dirty = w.dirty;
-    item.data = w.image;
+    ChunkWriteItem item = MakeWriteItem(
+        locs[j].key, *w.dirty, w.image,
+        !crcs.empty() && crcs[j] ? &*crcs[j] : nullptr,
+        stored_crcs.empty() ? nullptr : &stored_crcs[j]);
     item.needs_clone = locs[j].needs_clone;
     item.clone_from = locs[j].clone_from;
-    if (!crcs.empty()) {
-      item.has_crc = crcs[j].has_value();
-      item.crc = crcs[j].value_or(0);
-      item.stored_crc = stored_crcs.empty() ? nullptr : &stored_crcs[j];
-    }
     items.push_back(item);
   }
 
   // The request is one stream: the first payload also carries the run
-  // header (which is what makes a run of one byte-identical to the legacy
-  // single-chunk write message); clone instructions ride as their own
-  // control messages, exactly as in the per-chunk path.
+  // header; clone instructions ride as their own control messages.  Each
+  // payload is admitted before it goes on the wire — the scheduler gates
+  // the request before its bytes occupy the benefactor's NIC.
   net::StreamTransfer stream(cluster_.network(), local_node_, b->node_id());
   bool header_sent = false;
   const ChunkRunSend send = [&](RunMsg kind, int64_t earliest,
                                 uint64_t bytes) -> int64_t {
-    if (kind == RunMsg::kPayload && !header_sent) {
-      header_sent = true;
-      bytes += cfg.meta_request_bytes;
+    if (kind == RunMsg::kPayload) {
+      const uint64_t payload = bytes;
+      if (!header_sent) {
+        header_sent = true;
+        bytes += cfg.meta_request_bytes;
+      }
+      sim::VirtualClock gate(earliest);
+      b->AdmitTransfer(gate, tenant_, payload, /*is_write=*/true, bytes);
+      earliest = gate.now();
     }
     return stream.Push(earliest, bytes);
   };
@@ -789,7 +602,7 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
   if (writes.empty()) return OkStatus();
   const StoreConfig& cfg = manager_.config();
 
-  // Clean entries are done before they start (mirrors WriteChunkPages).
+  // Clean entries are done before they start.
   std::vector<size_t> active;
   active.reserve(writes.size());
   for (size_t i = 0; i < writes.size(); ++i) {
@@ -803,21 +616,21 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
 
   // Erasure-mode writes are full-stripe fan-outs with no per-benefactor
   // run to stream: each chunk goes through the stripe path serially.
-  if (!cfg.batch_write_rpc || cfg.ec()) {
-    // Per-chunk path: one PrepareWrite round-trip and one write request
-    // per chunk, serialised on the caller's clock.
+  if (cfg.ec()) {
     for (size_t i : active) {
       ChunkWrite& w = writes[i];
-      w.status = WriteChunkPagesInner(clock, id, w.index, *w.dirty, w.image);
+      w.status = WriteStripe(clock, id, w.index, *w.dirty, w.image);
       w.ready_at = clock.now();
     }
     return OkStatus();
   }
 
-  // Flush-time checksums for the whole window, charged before the batched
-  // metadata round-trip (mirrors WriteChunkPages, so a batch of one stays
-  // time-identical to the legacy path).  As there, only full-image items
-  // are hashed on the host (and carry a value); every item is charged.
+  // Flush-time checksums for the whole window, charged to the writer
+  // before the metadata round-trip.  Only a full-image write consumes its
+  // checksum — replicas store it verbatim — so a partial item skips the
+  // host hash (and carries no value): its authority is the CRC the
+  // replica stores after merging, and the unfaulted pages of the image
+  // are unspecified.  Every item is charged.
   const bool with_crc = cfg.integrity();
   std::vector<std::optional<uint32_t>> crcs(with_crc ? active.size() : 0);
   if (with_crc) {
@@ -851,23 +664,48 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
   // full-image write; on a partial-dirty merge it can legitimately differ
   // from the client image when clean pages were never faulted in).
   std::vector<uint32_t> authority(crcs.size(), 0);
+  std::vector<uint32_t> stored(crcs.size(), 0);
+  const auto landed = [&](size_t j, int64_t at) {
+    if (ok_replicas[j] == 0 && with_crc) authority[j] = stored[j];
+    ++ok_replicas[j];
+    bytes_flushed_.Add(writes[active[j]].dirty->PopCount() * cfg.page_bytes);
+    done[j] = std::max(done[j], at);
+  };
+  const auto failed = [&](size_t j, int bid, const Status& s,
+                          sim::VirtualClock& at) {
+    if (s.code() == ErrorCode::kUnavailable) {
+      manager_.MarkDead(bid);
+      NVM_WLOG("benefactor %d unavailable writing %s; continuing with "
+               "surviving replicas",
+               bid, locs[j].key.ToString().c_str());
+    } else if (s.code() == ErrorCode::kCorrupt) {
+      // The replica's base image failed the pre-merge verification — the
+      // write never landed there.  Quarantine it; repair rebuilds it from
+      // a replica that did take the write.
+      corrupt_replica[j] = true;
+      manager_.ReportCorrupt(at, locs[j].key, bid);
+      NVM_WLOG("benefactor %d rejected merge into corrupt %s; replica "
+               "quarantined",
+               bid, locs[j].key.ToString().c_str());
+    }
+    last_err[j] = s;
+  };
 
-  // One streamed run per benefactor — every replica holder gets its own
-  // run — each on a clock forked at the post-prepare time, so runs (and
-  // with them the replicas of each chunk) overlap.
-  for (const BenefactorRun& run : Manager::GroupByBenefactor(locs)) {
+  // One streamed run per benefactor (split at max_run_chunks) — every
+  // replica holder gets its own run — each on a clock forked at the
+  // post-prepare time, so runs (and with them the replicas of each chunk)
+  // overlap.
+  for (const BenefactorRun& run :
+       Manager::GroupByBenefactor(locs, cfg.max_run_chunks)) {
     sim::VirtualClock run_clock(t0);
-    std::vector<uint32_t> run_stored(crcs.size(), 0);
-    Status s = WriteRun(run_clock, run, locs, writes, active, crcs,
-                        run_stored);
+    Status s = WriteRun(run_clock, run, locs, writes, active, crcs, stored);
     if (s.ok()) {
-      for (size_t j : run.items) {
-        if (ok_replicas[j] == 0) authority[j] = run_stored[j];
-        ++ok_replicas[j];
-        bytes_flushed_.Add(writes[active[j]].dirty->PopCount() *
-                           cfg.page_bytes);
-        done[j] = std::max(done[j], run_clock.now());
-      }
+      for (size_t j : run.items) landed(j, run_clock.now());
+      continue;
+    }
+    if (run.items.size() == 1) {
+      // A run of one is this replica's only attempt.
+      failed(run.items.front(), run.benefactor, s, run_clock);
       continue;
     }
     if (s.code() == ErrorCode::kUnavailable) {
@@ -878,47 +716,39 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
           run.benefactor, run.items.size());
     }
     // The run failed as a whole: nothing it streamed counts.  Retry every
-    // item per chunk against the same benefactor (its other replicas are
-    // covered by their own runs); a dead benefactor fails fast here.
+    // item in a run of its own against the same benefactor (its other
+    // replicas are covered by their own runs); a dead benefactor fails
+    // fast here.
     for (size_t j : run.items) {
-      const ChunkWrite& w = writes[active[j]];
       sim::VirtualClock fallback(t0);
-      uint32_t replica_stored = 0;
-      Status rs = WriteReplica(
-          fallback, locs[j], run.benefactor, *w.dirty, w.image,
-          with_crc && crcs[j] ? &*crcs[j] : nullptr,
-          with_crc ? &replica_stored : nullptr);
+      Status rs = WriteRun(fallback, BenefactorRun{run.benefactor, {j}}, locs,
+                           writes, active, crcs, stored);
       if (rs.ok()) {
-        if (ok_replicas[j] == 0) authority[j] = replica_stored;
-        ++ok_replicas[j];
-        bytes_flushed_.Add(w.dirty->PopCount() * cfg.page_bytes);
-        done[j] = std::max(done[j], fallback.now());
+        landed(j, fallback.now());
       } else {
-        if (rs.code() == ErrorCode::kUnavailable) {
-          manager_.MarkDead(run.benefactor);
-        } else if (rs.code() == ErrorCode::kCorrupt) {
-          // Rotted base image refused the merge: quarantine this replica
-          // (repair rebuilds it from one that took the write).
-          corrupt_replica[j] = true;
-          manager_.ReportCorrupt(fallback, locs[j].key, run.benefactor);
-        }
-        last_err[j] = rs;
+        failed(j, run.benefactor, rs, fallback);
       }
     }
   }
 
-  // Every replica attempt is over: close the prepared window in one lock
-  // pass (lifts the repair fences, moves the epochs) before reporting any
-  // degraded chunks to the repair queue.  Checksums are recorded only for
-  // chunks that reached at least one replica.
+  // Every replica attempt is over: join, then close the prepared window in
+  // one lock pass (lifts the repair fences, moves the epochs; with a WAL,
+  // logs the completion record that attests the writes) before reporting
+  // any degraded chunks to the repair queue.  Checksums are recorded only
+  // for chunks that reached at least one replica.
+  int64_t joined = t0;
   std::vector<char> wrote(active.size(), 0);
   for (size_t j = 0; j < active.size(); ++j) {
     wrote[j] = ok_replicas[j] > 0 ? 1 : 0;
+    joined = std::max(joined, done[j]);
   }
+  clock.AdvanceTo(joined);
   manager_.CompleteWrites(clock, locs, authority, wrote);
+  // A logged completion is part of the write: nothing in the window is
+  // done before its record is durable.
+  const bool logged = clock.now() > joined;
 
-  // Per-chunk verdicts, location-cache updates, and the caller's join.
-  int64_t joined = t0;
+  // Per-chunk verdicts and location-cache updates.
   for (size_t j = 0; j < active.size(); ++j) {
     ChunkWrite& w = writes[active[j]];
     const WriteLocation& loc = locs[j];
@@ -932,19 +762,20 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
         manager_.ReportDegraded(loc.key, done[j]);
       }
       if (corrupt_replica[j]) {
-        // A quarantined (deleted) replica is still in this list: force the
-        // next read through a fresh lookup instead of sparse zeros.
+        // The quarantine stripped (and deleted) a replica this location
+        // still names: force the next read through a fresh lookup rather
+        // than let it hit the deleted copy and see sparse zeros.
         InvalidateLocation(id, w.index);
       } else {
+        // At least one replica holds the data: NOW the read cache may
+        // point at the new chunk version.
         std::lock_guard<std::mutex> lock(loc_mutex_);
         loc_cache_[LocKey{id, w.index}] =
             ReadLocation{loc.key, loc.benefactors};
       }
     }
-    w.ready_at = done[j];
-    joined = std::max(joined, done[j]);
+    w.ready_at = logged ? clock.now() : done[j];
   }
-  clock.AdvanceTo(joined);
   return OkStatus();
 }
 

@@ -13,6 +13,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/bitmap.hpp"
 #include "common/hash.hpp"
@@ -54,10 +55,11 @@ class StoreClient {
                                     FileId src);
 
   // --- data plane ---
-
-  // Fetch a full chunk into `out` (sized chunk_bytes).
-  Status ReadChunk(sim::VirtualClock& clock, FileId id, uint32_t chunk_index,
-                   std::span<uint8_t> out);
+  //
+  // Every replicated chunk moves inside a run RPC (Benefactor::ReadChunkRun
+  // / WriteChunkRun): one request header and one device queueing slot per
+  // run, at most config().max_run_chunks chunks long.  The single-chunk
+  // calls are batches of one.
 
   // One element of a batched read.
   struct ChunkFetch {
@@ -69,41 +71,38 @@ class StoreClient {
 
   // Batched fetch of several chunks of one file.  The locations of the
   // whole index span are resolved with at most one metadata round-trip
-  // (LookupReadMany).  With config().batch_rpc the resolved chunks are
-  // grouped by primary benefactor and each group is fetched with ONE
-  // streamed Benefactor::ReadChunkRun — one request header and one device
-  // queueing slot per benefactor, chunks riding back-to-back on the wire
-  // (net::StreamTransfer).  Each run uses its own detached clock branched
-  // at the post-lookup time, so runs against distinct benefactors overlap.
-  // A run that fails (benefactor death mid-stream) is discarded whole and
-  // every chunk of it is re-read through the per-chunk replica-failover
-  // path.  With batch_rpc off, every chunk goes through the per-chunk path
-  // on its own detached clock (a run of one is arithmetically identical,
-  // so traffic tables do not depend on the knob).  `clock` itself advances
-  // only past the metadata lookup; callers consume the per-chunk
-  // `ready_at` completion times.  Returns non-OK only if the batched
-  // lookup fails outright; per-chunk failures (EOF, dead replicas) land in
-  // fetches[i].status.
+  // (LookupReadMany).  The resolved chunks are grouped by primary
+  // benefactor and each group is fetched with streamed ReadChunkRuns —
+  // chunks riding back-to-back on the wire (net::StreamTransfer).  Each
+  // run uses its own detached clock branched at the post-lookup time, so
+  // runs against distinct benefactors overlap; runs are issued in order of
+  // their first fetch (with max_run_chunks 1, in fetch order).  A chunk
+  // that fails is read again through the per-chunk failover path, which
+  // tries each replica in turn with a run of one; a run of several that
+  // fails (benefactor death mid-stream, a failed check) is discarded whole
+  // and every chunk of it takes that path from the post-lookup time.
+  // Erasure-coded chunks and chunks beyond EOF take the per-chunk path
+  // directly.  `clock` itself advances only past the metadata lookup;
+  // callers consume the per-chunk `ready_at` completion times.  Returns
+  // non-OK only if the batched lookup fails outright; per-chunk failures
+  // (EOF, dead replicas) land in fetches[i].status.
   Status ReadChunks(sim::VirtualClock& clock, FileId id,
                     std::span<ChunkFetch> fetches);
+  // Fetch a full chunk into `out` (sized chunk_bytes): a batch of one,
+  // with `clock` advanced to its completion.
+  Status ReadChunk(sim::VirtualClock& clock, FileId id, uint32_t chunk_index,
+                   std::span<uint8_t> out) {
+    ChunkFetch fetch{chunk_index, out};
+    NVM_RETURN_IF_ERROR(ReadChunks(clock, id, {&fetch, 1}));
+    clock.AdvanceTo(fetch.ready_at);
+    return fetch.status;
+  }
 
   // Resolve read locations for `count` consecutive chunks starting at
   // `first` with at most one metadata round-trip (none when all are
   // already location-cached).  The resolved range is clamped at EOF.
   Status LookupReadMany(sim::VirtualClock& clock, FileId id, uint32_t first,
                         uint32_t count);
-
-  // Flush the dirty pages of a cached chunk image back to the store.
-  // Performs the manager's copy-on-write protocol when the chunk is shared
-  // with a checkpoint.  Replicas are written on clocks forked at the
-  // post-prepare time and the caller joins at the max, so a replicated
-  // write costs max(replica times), not their sum.  A write that reached
-  // at least one replica is a (possibly degraded) success; only total
-  // failure returns an error, and the location cache is updated only
-  // after a replica holds the data.
-  Status WriteChunkPages(sim::VirtualClock& clock, FileId id,
-                         uint32_t chunk_index, const Bitmap& dirty_pages,
-                         std::span<const uint8_t> chunk_image);
 
   // One element of a batched write-back.
   struct ChunkWrite {
@@ -114,24 +113,34 @@ class StoreClient {
     int64_t ready_at = 0;                // virtual completion time
   };
 
-  // Batched write-back of several dirty chunks of one file — the write-side
-  // mirror of ReadChunks.  With config().batch_write_rpc the whole window
+  // Batched write-back of the dirty pages of several cached chunk images
+  // of one file — the write-side mirror of ReadChunks.  The whole window
   // is COW-resolved in ONE metadata round-trip (Manager::PrepareWriteBatch),
-  // grouped by benefactor (every replica holder gets the chunk) and flushed
-  // with ONE streamed Benefactor::WriteChunkRun per benefactor — one
-  // request header and one device queueing slot per run, dirty pages riding
-  // back-to-back on the wire.  Runs use clocks forked at the post-prepare
-  // time so runs against distinct benefactors — and replicas of the same
-  // chunk — overlap; the caller joins at the max.  A run that fails
+  // grouped by benefactor (every replica holder gets the chunk) and
+  // flushed with streamed WriteChunkRuns — dirty pages riding back-to-back
+  // on the wire, each admitted to QoS before it is sent.  Runs use clocks
+  // forked at the post-prepare time so runs against distinct benefactors
+  // — and replicas of the same chunk — overlap, and the caller pays
+  // max(replica times), not their sum.  A run of several that fails
   // (benefactor death mid-stream) is discarded whole and every item is
-  // retried per chunk against that benefactor; a chunk that reached ≥1
-  // replica is a (degraded) success.  With the knob off every chunk goes
-  // through WriteChunkPages serially (a run of one is arithmetically
-  // identical, so traffic tables do not depend on the knob).  Returns
+  // retried in a run of its own against that benefactor.  A chunk that
+  // reached ≥1 replica is a (possibly degraded) success; the location
+  // cache is updated only after a replica holds the data.  The caller
+  // joins at the max, then the window's completion is recorded (with a
+  // WAL, logged — and then every ready_at is that commit time).
+  // Erasure-coded stores write each chunk full-stripe, serially.  Returns
   // non-OK only if the batched prepare fails outright; per-chunk outcomes
   // land in writes[i].status.
   Status WriteChunks(sim::VirtualClock& clock, FileId id,
                      std::span<ChunkWrite> writes);
+  // Flush the dirty pages of one cached chunk image: a batch of one.
+  Status WriteChunkPages(sim::VirtualClock& clock, FileId id,
+                         uint32_t chunk_index, const Bitmap& dirty_pages,
+                         std::span<const uint8_t> chunk_image) {
+    ChunkWrite write{chunk_index, &dirty_pages, chunk_image};
+    NVM_RETURN_IF_ERROR(WriteChunks(clock, id, {&write, 1}));
+    return write.status;
+  }
 
   // Data-plane traffic observed by this client (the "to SSD" column of the
   // paper's traffic tables).
@@ -140,9 +149,9 @@ class StoreClient {
   // Metadata round-trips this client issued to the manager (control-plane
   // cost; the batched read path exists to keep this flat).
   uint64_t meta_round_trips() const { return meta_rtts_.value(); }
-  // Benefactor read-run RPCs issued (batch_rpc path only).
+  // Benefactor read-run RPCs issued.
   uint64_t run_rpcs() const { return run_rpcs_.value(); }
-  // Benefactor write-run RPCs issued (batch_write_rpc path only).
+  // Benefactor write-run RPCs issued.
   uint64_t write_run_rpcs() const { return write_run_rpcs_.value(); }
   // Writes that succeeded on ≥1 but not all replicas (failed benefactors
   // were MarkDead'd; re-replication is the manager's repair job).
@@ -171,52 +180,45 @@ class StoreClient {
   void ChargeMetaRoundTrip(sim::VirtualClock& clock);
   // Un-instrumented bodies of the public data-plane calls.  The public
   // wrappers record per-tenant end-to-end latency; internal re-entries
-  // (batch fallbacks, the EC read-modify-write) call these directly so a
-  // single logical operation is recorded exactly once.
-  Status ReadChunkInner(sim::VirtualClock& clock, FileId id,
-                        uint32_t chunk_index, std::span<uint8_t> out);
+  // (the EC read-modify-write) use the per-chunk path directly so a single
+  // logical operation is recorded exactly once.
   Status ReadChunksInner(sim::VirtualClock& clock, FileId id,
                          std::span<ChunkFetch> fetches);
-  Status WriteChunkPagesInner(sim::VirtualClock& clock, FileId id,
-                              uint32_t chunk_index, const Bitmap& dirty_pages,
-                              std::span<const uint8_t> chunk_image);
   Status WriteChunksInner(sim::VirtualClock& clock, FileId id,
                           std::span<ChunkWrite> writes);
   // Chunk locations are immutable until a COW bumps the version, so the
   // client caches read locations after the first manager lookup (the
-  // paper's FUSE client keeps the same mapping state).  A failed read
-  // falls back to a fresh lookup.
-  StatusOr<ReadLocation> LookupRead(sim::VirtualClock& clock, FileId id,
-                                    uint32_t chunk_index, bool refresh);
+  // paper's FUSE client keeps the same mapping state).  Returns the
+  // locations of `count` chunks from `first`: from the cache when all are
+  // there and `refresh` is off, else from one manager round-trip (clamped
+  // at EOF) that refreshes the cache.
+  StatusOr<std::vector<ReadLocation>> ResolveReads(sim::VirtualClock& clock,
+                                                   FileId id, uint32_t first,
+                                                   uint32_t count,
+                                                   bool refresh);
   void InvalidateLocation(FileId id, uint32_t chunk_index);
+  // The per-chunk read path: replica failover.  Resolves the chunk (the
+  // cached location, a fresh one on the retry) and reads it with a run of
+  // one from each replica in turn until one serves it; an erasure stripe
+  // goes through ReadStripe.  Leaves `clock` at the chunk's arrival.
+  Status ReadFailover(sim::VirtualClock& clock, FileId id,
+                      uint32_t chunk_index, std::span<uint8_t> out);
   // One streamed ReadChunkRun against run.benefactor, which copies each
   // chunk straight into the `out` of the fetch run.items names.
   // All-or-nothing: on failure the caller must re-read every item of the
-  // run per chunk (whatever the run left in their destinations is
-  // superseded) — no fetched-bytes traffic is committed for a failed run.
+  // run (whatever the run left in their destinations is superseded) — no
+  // fetched-bytes traffic is committed for a failed run.
   Status ReadRun(sim::VirtualClock& clock, const BenefactorRun& run,
                  std::span<const ReadLocation> locs,
                  std::span<ChunkFetch> fetches);
-  // The legacy per-replica write wire sequence (clone instruction, dirty
-  // pages + header, device program, response) against one benefactor on
-  // the given clock.  Does not touch counters or the location cache.
-  // `crc` is the flush-time CRC32C of the full chunk image (nullptr when
-  // integrity is off or the write is partial); `stored_crc` (when
-  // non-null) returns the CRC the replica actually stored — the
-  // merged-image value on a partial write — which is what CompleteWrite
-  // must record as authoritative.
-  Status WriteReplica(sim::VirtualClock& clock, const WriteLocation& loc,
-                      int bid, const Bitmap& dirty_pages,
-                      std::span<const uint8_t> chunk_image,
-                      const uint32_t* crc, uint32_t* stored_crc = nullptr);
   // One streamed WriteChunkRun against run.benefactor covering the items
   // named by run.items (indices into locs/active).  All-or-nothing: on
-  // failure the caller retries every item per chunk — nothing a failed
-  // run streamed counts.  `crcs` (parallel to locs/active; empty when
-  // integrity is off) carries the flush-time checksum of each full-image
-  // item and no value for a partial one.  `stored_crcs`
-  // (parallel to locs/active; empty when integrity is off) receives, for
-  // each item the run covers, the CRC this replica actually stored.
+  // failure the caller retries every item — nothing a failed run streamed
+  // counts.  `crcs` (parallel to locs/active; empty when integrity is off)
+  // carries the flush-time checksum of each full-image item and no value
+  // for a partial one.  `stored_crcs` (parallel to locs/active; empty when
+  // integrity is off) receives, for each item the run covers, the CRC
+  // this replica actually stored.
   Status WriteRun(sim::VirtualClock& clock, const BenefactorRun& run,
                   std::span<const WriteLocation> locs,
                   std::span<const ChunkWrite> writes,

@@ -20,36 +20,42 @@ bool KeyLess(const ChunkKey& a, const ChunkKey& b) {
          std::tie(b.origin_file, b.index, b.version);
 }
 
+// Appends item `i` to benefactor `b`'s open run, opening a fresh run when
+// there is none or it already holds `max_run` items.
+void AddToRun(std::vector<BenefactorRun>& runs,
+              std::unordered_map<int, size_t>& open_run, int b, size_t i,
+              size_t max_run) {
+  auto [it, fresh] = open_run.try_emplace(b, runs.size());
+  if (!fresh && runs[it->second].items.size() >= max_run) {
+    it->second = runs.size();
+    fresh = true;
+  }
+  if (fresh) runs.push_back(BenefactorRun{b, {}});
+  runs[it->second].items.push_back(i);
+}
+
 }  // namespace
 
 std::vector<BenefactorRun> Manager::GroupByPrimaryBenefactor(
-    std::span<const ReadLocation> locs) {
+    std::span<const ReadLocation> locs, size_t max_run) {
   std::vector<BenefactorRun> runs;
-  std::unordered_map<int, size_t> run_of;  // benefactor id -> index in runs
+  std::unordered_map<int, size_t> open_run;  // benefactor id -> its run
   for (size_t i = 0; i < locs.size(); ++i) {
-    if (locs[i].benefactors.empty()) continue;
     // Erasure-coded chunks never join run RPCs: every read touches k
     // devices, so there is no single-benefactor run to coalesce into.
-    if (locs[i].ec) continue;
-    const int primary = locs[i].benefactors.front();
-    auto [it, fresh] = run_of.try_emplace(primary, runs.size());
-    if (fresh) runs.push_back(BenefactorRun{primary, {}});
-    runs[it->second].items.push_back(i);
+    if (locs[i].benefactors.empty() || locs[i].ec) continue;
+    AddToRun(runs, open_run, locs[i].benefactors.front(), i, max_run);
   }
   return runs;
 }
 
 std::vector<BenefactorRun> Manager::GroupByBenefactor(
-    std::span<const WriteLocation> locs) {
+    std::span<const WriteLocation> locs, size_t max_run) {
   std::vector<BenefactorRun> runs;
-  std::unordered_map<int, size_t> run_of;  // benefactor id -> index in runs
+  std::unordered_map<int, size_t> open_run;  // benefactor id -> its run
   for (size_t i = 0; i < locs.size(); ++i) {
-    if (locs[i].ec) continue;  // EC chunks go through the per-chunk path
-    for (int b : locs[i].benefactors) {
-      auto [it, fresh] = run_of.try_emplace(b, runs.size());
-      if (fresh) runs.push_back(BenefactorRun{b, {}});
-      runs[it->second].items.push_back(i);
-    }
+    if (locs[i].ec) continue;  // EC chunks go through the stripe path
+    for (int b : locs[i].benefactors) AddToRun(runs, open_run, b, i, max_run);
   }
   return runs;
 }
@@ -646,6 +652,25 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
   return plans;
 }
 
+Status Manager::CopyWholeChunk(sim::VirtualClock& clock, Benefactor& from,
+                               Benefactor& to, const ChunkKey& key,
+                               std::span<const uint8_t> image,
+                               const uint32_t* crc) {
+  Bitmap all_pages(config_.pages_per_chunk());
+  all_pages.SetAll();
+  const ChunkWriteItem item = MakeWriteItem(key, all_pages, image, crc);
+  // Admit before the wire so a repair storm queues behind the scheduler,
+  // not in front of it.
+  const auto send = [&](RunMsg, int64_t at, uint64_t bytes) {
+    sim::VirtualClock wire(at);
+    to.AdmitTransfer(wire, kTenantMaintenance, bytes, /*is_write=*/true,
+                     bytes);
+    cluster_.network().Transfer(wire, from.node_id(), to.node_id(), bytes);
+    return wire.now();
+  };
+  return to.WriteChunkRun(clock, {&item, 1}, send, kTenantMaintenance);
+}
+
 Manager::RepairOutcome Manager::ExecuteRepairPlan(sim::VirtualClock& clock,
                                                   const RepairPlan& plan) {
   RepairOutcome out;
@@ -756,8 +781,9 @@ Manager::RepairOutcome Manager::ExecuteRepairPlan(sim::VirtualClock& clock,
   for (int bid : plan.survivors) {
     Benefactor* b = BenefactorAt(bid);
     if (b == nullptr) continue;
-    Status s = b->ReadChunk(clock, plan.key, buf, &sparse,
-                            kTenantMaintenance);
+    const std::span<uint8_t> dst(buf);
+    Status s = b->ReadChunkRun(clock, {&plan.key, 1}, {&dst, 1},
+                               NoteSparse(&sparse), kTenantMaintenance);
     if (s.code() == ErrorCode::kCorrupt) {
       // The survivor failed its own read verification: quarantine at
       // commit, try the next one.
@@ -782,8 +808,6 @@ Manager::RepairOutcome Manager::ExecuteRepairPlan(sim::VirtualClock& clock,
     out.failed = plan.targets;
     return out;
   }
-  Bitmap all_pages(config_.pages_per_chunk());
-  all_pages.SetAll();
   // Target copies fan out in parallel: fork a clock per target, join max.
   const int64_t start = clock.now();
   int64_t done = start;
@@ -794,15 +818,9 @@ Manager::RepairOutcome Manager::ExecuteRepairPlan(sim::VirtualClock& clock,
     if (ok && !sparse) {
       // Benefactor-to-benefactor move; the manager never touches the data.
       // The verified source bytes carry the authoritative checksum, so the
-      // target stores it without recomputing.  Admit before the wire so a
-      // repair storm queues behind the scheduler, not in front of it.
-      b->AdmitTransfer(copy, kTenantMaintenance, config_.chunk_bytes,
-                       /*is_write=*/true, config_.chunk_bytes);
-      cluster_.network().Transfer(copy, BenefactorAt(src)->node_id(),
-                                  b->node_id(), config_.chunk_bytes);
-      ok = b->WritePages(copy, plan.key, all_pages, buf,
-                         plan.has_crc ? &plan.crc : nullptr,
-                         /*stored_crc=*/nullptr, kTenantMaintenance)
+      // target stores it without recomputing.
+      ok = CopyWholeChunk(copy, *BenefactorAt(src), *b, plan.key, buf,
+                          plan.has_crc ? &plan.crc : nullptr)
                .ok();
     }
     // A sparse chunk has no bytes to move: the reservation alone makes the
@@ -1347,8 +1365,6 @@ StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
 
   uint64_t migrated = 0;
   std::vector<uint8_t> buf(config_.chunk_bytes);
-  Bitmap all_pages(config_.pages_per_chunk());
-  all_pages.SetAll();
 
   for (ChunkHandle* h : handles) {
     const std::vector<int> current =
@@ -1413,19 +1429,16 @@ StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
             clock, h->key, frag, crc, kTenantMaintenance));
       }
     } else {
-      NVM_RETURN_IF_ERROR(leaving->ReadChunk(clock, h->key, buf, &sparse,
-                                             kTenantMaintenance));
+      const std::span<uint8_t> out(buf);
+      NVM_RETURN_IF_ERROR(leaving->ReadChunkRun(clock, {&h->key, 1},
+                                                {&out, 1}, NoteSparse(&sparse),
+                                                kTenantMaintenance));
       if (!sparse) {
-        bens[static_cast<size_t>(dst)]->AdmitTransfer(
-            clock, kTenantMaintenance, config_.chunk_bytes,
-            /*is_write=*/true, config_.chunk_bytes);
-        cluster_.network().Transfer(clock, leaving->node_id(),
-                                    bens[static_cast<size_t>(dst)]->node_id(),
-                                    config_.chunk_bytes);
         // The migrated bytes keep their authoritative checksum.
-        NVM_RETURN_IF_ERROR(bens[static_cast<size_t>(dst)]->WritePages(
-            clock, h->key, all_pages, buf, h->has_crc ? &h->crc : nullptr,
-            /*stored_crc=*/nullptr, kTenantMaintenance));
+        NVM_RETURN_IF_ERROR(CopyWholeChunk(clock, *leaving,
+                                           *bens[static_cast<size_t>(dst)],
+                                           h->key, buf,
+                                           h->has_crc ? &h->crc : nullptr));
       }
     }
     std::vector<int> rewritten = current;
@@ -1733,24 +1746,6 @@ Status Manager::Fallocate(sim::VirtualClock& clock, FileId id,
   return OkStatus();
 }
 
-StatusOr<ReadLocation> Manager::GetReadLocation(sim::VirtualClock& clock,
-                                                FileId id,
-                                                uint32_t chunk_index) {
-  ChargeOp(clock, FileLane(id));
-  std::shared_ptr<FileMeta> meta = FindFile(id);
-  if (meta == nullptr) return NotFound("file id " + std::to_string(id));
-  // The fast path: a shared file lock plus one atomic snapshot load — no
-  // shard mutex.
-  std::shared_lock<std::shared_mutex> lock(meta->mu);
-  if (chunk_index >= meta->chunks.size()) {
-    return OutOfRange("chunk " + std::to_string(chunk_index) +
-                      " beyond EOF of '" + meta->name + "'");
-  }
-  const ChunkHandle& h = *meta->chunks[chunk_index];
-  return ReadLocation{h.key, *h.replicas.load(std::memory_order_acquire),
-                      h.ec};
-}
-
 StatusOr<std::vector<ReadLocation>> Manager::GetReadLocations(
     sim::VirtualClock& clock, FileId id, uint32_t first, uint32_t count) {
   ChargeOp(clock, FileLane(id));
@@ -1899,20 +1894,6 @@ StatusOr<WriteLocation> Manager::PrepareWriteSlot(
   loc.ec = h.ec;
   slot = std::move(nh);
   return loc;
-}
-
-StatusOr<WriteLocation> Manager::PrepareWrite(sim::VirtualClock& clock,
-                                              FileId id,
-                                              uint32_t chunk_index) {
-  ChargeOp(clock, FileLane(id));
-  std::shared_ptr<FileMeta> meta = FindFile(id);
-  if (meta == nullptr) return NotFound("file id " + std::to_string(id));
-  // Suspicion snapshot before any file/shard lock (see Fallocate).
-  std::vector<char> suspected;
-  if (config_.placement_avoid_suspected) suspected = SuspectedBenefactors();
-  std::unique_lock<std::shared_mutex> lock(meta->mu);
-  return PrepareWriteSlot(clock, id, *meta, chunk_index,
-                          suspected.empty() ? nullptr : &suspected);
 }
 
 StatusOr<std::vector<WriteLocation>> Manager::PrepareWriteBatch(

@@ -18,8 +18,7 @@
 //     referencing file slots — and its replica list is an atomically-
 //     swapped immutable snapshot: stores happen only under the owning
 //     shard's mutex (publish-on-commit), loads are lock-free.  The read-
-//     resolve fast path (GetReadLocation/GetReadLocations) therefore takes
-//     NO shard lock.
+//     resolve fast path (GetReadLocations) therefore takes NO shard lock.
 //   * Cross-shard lock sets (CompleteWrites over a flush window, the COW
 //     old/new pair of a prepare, the scrubber's stop-the-world pass) are
 //     always acquired in ascending shard-index order — the same deadlock-
@@ -117,21 +116,21 @@ class Manager {
   // for the run RPCs never re-enters any manager lock.
 
   // Group read locations by primary (first-listed) benefactor, preserving
-  // input order within each run; runs are ordered by first appearance, so
-  // the result is deterministic for a given input.  Locations with no
-  // benefactor (unresolved/EOF) are skipped — callers handle those through
-  // the per-chunk path.
+  // input order within each run; a run holds at most `max_run` chunks
+  // (StoreConfig::max_run_chunks) and a benefactor whose run is full
+  // starts a fresh one.  Runs are ordered by their first item, so the
+  // result is deterministic for a given input — and with max_run 1 it is
+  // the input order.  Locations with no benefactor (unresolved/EOF) and
+  // erasure-coded ones are skipped — callers read those chunk by chunk.
   static std::vector<BenefactorRun> GroupByPrimaryBenefactor(
-      std::span<const ReadLocation> locs);
+      std::span<const ReadLocation> locs, size_t max_run);
 
   // Group write locations by benefactor for the write-side run RPC.
   // Unlike the read-side grouping, a chunk appears in the run of EVERY
   // benefactor that holds a replica (writes must reach all replicas, reads
-  // only one).  Runs are ordered by first appearance and preserve input
-  // order within each run, so the result is deterministic for a given
-  // input.
+  // only one).  Run length, order and determinism as above.
   static std::vector<BenefactorRun> GroupByBenefactor(
-      std::span<const WriteLocation> locs);
+      std::span<const WriteLocation> locs, size_t max_run);
 
   // --- benefactor registry ---
 
@@ -360,30 +359,35 @@ class Manager {
   // --- data-plane lookups ---
 
   // The read-resolve fast path: file table shared locks plus one atomic
-  // replica-snapshot load per chunk — no shard mutex.
-  StatusOr<ReadLocation> GetReadLocation(sim::VirtualClock& clock, FileId id,
-                                         uint32_t chunk_index);
-  // Batched variant: locations of `count` consecutive chunks starting at
-  // `first`, clamped at EOF.  Charges ONE metadata service op for the
-  // whole batch — the control-plane saving behind the client's coalesced
-  // miss and read-ahead paths.
+  // replica-snapshot load per chunk — no shard mutex.  Locations of
+  // `count` consecutive chunks starting at `first`, clamped at EOF.
+  // Charges ONE metadata service op for the whole batch — the
+  // control-plane saving behind the client's coalesced miss and
+  // read-ahead paths.
   StatusOr<std::vector<ReadLocation>> GetReadLocations(
       sim::VirtualClock& clock, FileId id, uint32_t first, uint32_t count);
-  // Resolve the target for writing a chunk, performing the copy-on-write
-  // decision: a chunk shared with a checkpoint gets a fresh version.
-  // Every successful prepare MUST be paired with one CompleteWrite of the
-  // returned key once the replica transfers finish (success or failure) —
-  // the open prepare fences the repair engine off the chunk.
-  StatusOr<WriteLocation> PrepareWrite(sim::VirtualClock& clock, FileId id,
-                                       uint32_t chunk_index);
-  // Batched variant: resolve a whole flush window (any set of chunk
-  // indices of one file) in ONE metadata service op, including the
-  // copy-on-write version bumps — the control-plane saving behind the
-  // client's batched write-back path.  Result order matches `indices`.
-  // On error no write is left open; on success every returned location
-  // must be completed (CompleteWrite / CompleteWrites).
+  StatusOr<ReadLocation> GetReadLocation(sim::VirtualClock& clock, FileId id,
+                                         uint32_t chunk_index) {
+    NVM_ASSIGN_OR_RETURN(auto locs,
+                         GetReadLocations(clock, id, chunk_index, 1));
+    return std::move(locs.front());
+  }
+  // Resolve the targets for writing a flush window (any set of chunk
+  // indices of one file) in ONE metadata service op, performing the
+  // copy-on-write decision per chunk: a chunk shared with a checkpoint
+  // gets a fresh version.  Result order matches `indices`.  On error no
+  // write is left open; on success every returned location MUST be
+  // completed (CompleteWrite / CompleteWrites) once the replica transfers
+  // finish (success or failure) — the open prepare fences the repair
+  // engine off the chunk.
   StatusOr<std::vector<WriteLocation>> PrepareWriteBatch(
       sim::VirtualClock& clock, FileId id, std::span<const uint32_t> indices);
+  StatusOr<WriteLocation> PrepareWrite(sim::VirtualClock& clock, FileId id,
+                                       uint32_t chunk_index) {
+    NVM_ASSIGN_OR_RETURN(auto locs,
+                         PrepareWriteBatch(clock, id, {&chunk_index, 1}));
+    return std::move(locs.front());
+  }
   // The write prepared for `key` has finished moving data (or given up):
   // drops the in-flight-writer fence and moves the repair epoch, so a
   // repair copy taken while the write was in flight can never commit.
@@ -453,6 +457,14 @@ class Manager {
   RecoveryReport Recover(sim::VirtualClock& clock);
 
  private:
+  // Repair and migrate data movement: a write run of one landing the whole
+  // `image` of `key` on `to`, streamed from `from`'s node and admitted to
+  // QoS before the wire, storing `crc` (when non-null) as the chunk's
+  // checksum.  Charged to `clock` as maintenance traffic.
+  Status CopyWholeChunk(sim::VirtualClock& clock, Benefactor& from,
+                        Benefactor& to, const ChunkKey& key,
+                        std::span<const uint8_t> image, const uint32_t* crc);
+
   // One chunk's single metadata home, shared (via shared_ptr) by every
   // file slot that references it — checkpoint links reference the same
   // handle, so publishing a replica list is one store here, not a scan

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -58,6 +59,15 @@ struct ChunkRunItem {
 // chunk" marker).  A non-OK return aborts the rest of the run.
 using ChunkRunSink = std::function<Status(const ChunkRunItem&)>;
 
+// The sink of a run of one: records whether the chunk was a hole
+// (`sparse` may be null).
+inline ChunkRunSink NoteSparse(bool* sparse) {
+  return [sparse](const ChunkRunItem& item) -> Status {
+    if (sparse != nullptr) *sparse = item.sparse;
+    return OkStatus();
+  };
+}
+
 // One chunk inside a multi-chunk write run (Benefactor::WriteChunkRun).
 // `data` is the full chunk image; `dirty` selects the pages to program.
 // When `needs_clone` is set the benefactor must copy `clone_from` into
@@ -82,17 +92,35 @@ struct ChunkWriteItem {
   uint32_t* stored_crc = nullptr;
 };
 
+// An item landing the `dirty` pages of `data` on `key`, carrying the
+// caller's full-image checksum when `crc` is non-null.
+inline ChunkWriteItem MakeWriteItem(const ChunkKey& key, const Bitmap& dirty,
+                                    std::span<const uint8_t> data,
+                                    const uint32_t* crc,
+                                    uint32_t* stored_crc = nullptr) {
+  ChunkWriteItem item{key, &dirty, data};
+  item.has_crc = crc != nullptr;
+  item.crc = item.has_crc ? *crc : 0;
+  item.stored_crc = stored_crc;
+  return item;
+}
+
 // Wire-message kinds inside a write run.  kControl carries run/clone
 // bookkeeping (charged like a metadata request); kPayload carries dirty
 // page data — the first payload of a run also carries the run's request
-// header, which is what makes a run of one byte-identical to the legacy
-// single-chunk write message.
+// header, so an unshared chunk's run of one is one message: its dirty
+// pages plus a header.
 enum class RunMsg : uint8_t { kControl, kPayload };
 
-// Sends one client→benefactor message of a write run and returns its
-// arrival time on the benefactor.  `earliest_ns` is the send floor (the
-// NIC pipelines messages in order from there).
+// Sends one client→benefactor message of a write run — admitting a
+// payload to QoS before it goes on the wire — and returns its arrival
+// time on the benefactor.  `earliest_ns` is the send floor (the NIC
+// pipelines messages in order from there).
 using ChunkRunSend = std::function<int64_t(RunMsg, int64_t, uint64_t)>;
+
+// The `send` of a run whose payload is already at the benefactor (the
+// caller moved the bytes itself): every message arrives as it is sent.
+inline int64_t LocalRunSend(RunMsg, int64_t at, uint64_t) { return at; }
 
 // Identity of one bandwidth principal sharing the store.  Every data-plane
 // request carries a TenantId; the QoS scheduler (store/qos.hpp) arbitrates
@@ -155,17 +183,16 @@ struct StoreConfig {
   // pre-shard store; raise it (16 is a good production setting) for
   // many-client metadata scaling (bench_meta_ops sweeps 1/4/16).
   size_t meta_shards = 1;
-  // Batched benefactor-side reads: StoreClient::ReadChunks groups a batch
-  // by primary benefactor and issues one streamed ReadChunkRun per group —
-  // one request header and one device queueing slot per run instead of per
-  // chunk.  Off reverts to per-chunk requests.
-  bool batch_rpc = true;
-  // Batched benefactor-side writes: StoreClient::WriteChunks resolves a
-  // whole flush window in one metadata RTT (Manager::PrepareWriteBatch),
-  // groups the prepared chunks by benefactor and streams one WriteChunkRun
-  // per benefactor — one request header and one device queueing slot per
-  // run.  Off reverts to per-chunk WriteChunkPages calls.
-  bool batch_write_rpc = true;
+  // Longest run RPC the client issues.  Every replicated chunk moves
+  // between client and benefactor inside a run: StoreClient::ReadChunks
+  // groups a batch by primary benefactor and WriteChunks groups a flush
+  // window (COW-resolved in one metadata RTT) by replica holder, and each
+  // group streams as one ReadChunkRun/WriteChunkRun — one request header
+  // and one device queueing slot per run.  A group longer than this is
+  // split into several runs.  Unbounded by default; 1 makes every chunk
+  // its own run RPC, issued in batch order: the per-chunk request model
+  // (one header and one per-request device latency per chunk).
+  size_t max_run_chunks = std::numeric_limits<size_t>::max();
 
   // --- background maintenance service (store/maintenance.hpp) ---
   // Master switch: when on, the AggregateStore runs a manager-side service

@@ -1,14 +1,17 @@
 // Conformance tests for the benefactor-side multi-chunk read RPC
-// (Benefactor::ReadChunkRun + the batched StoreClient::ReadChunks path):
-// request-count amortisation (a K-chunk run on one benefactor is exactly
-// ONE request), byte-for-byte equality of batched vs chunk-at-a-time
-// reads, virtual-time identity of a batch of one with the legacy per-chunk
-// path (so traffic tables do not depend on the knob), device-latency
-// amortisation, and a multi-process read storm over the streamed path.
+// (Benefactor::ReadChunkRun + StoreClient::ReadChunks): request-count
+// amortisation (a K-chunk run on one benefactor is exactly ONE request),
+// byte-for-byte equality of unbounded runs vs runs of one chunk
+// (max_run_chunks=1), virtual-time identity of a batch of one — and of
+// max_run_chunks=1 batches — with the per-chunk request model (values
+// pinned from the per-chunk read path the runs replaced, so traffic tables
+// do not depend on the knob), device-latency amortisation, and a
+// multi-process read storm over the streamed path.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -20,6 +23,7 @@ namespace nvm::store {
 namespace {
 
 constexpr uint64_t kChunk = 64_KiB;
+constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
 
 std::vector<uint8_t> Pattern(uint64_t bytes, uint64_t seed) {
   std::vector<uint8_t> v(bytes);
@@ -32,7 +36,7 @@ struct Rig {
   std::unique_ptr<net::Cluster> cluster;
   std::unique_ptr<AggregateStore> store;
 
-  explicit Rig(int benefactors, bool batch_rpc, int client_nodes = 1,
+  explicit Rig(int benefactors, size_t max_run_chunks, int client_nodes = 1,
                double nic_bw_mbps = 0.0) {
     net::ClusterConfig cc;
     cc.num_nodes = static_cast<size_t>(benefactors + client_nodes);
@@ -40,7 +44,7 @@ struct Rig {
     cluster = std::make_unique<net::Cluster>(cc);
     AggregateStoreConfig sc;
     sc.store.chunk_bytes = kChunk;
-    sc.store.batch_rpc = batch_rpc;
+    sc.store.max_run_chunks = max_run_chunks;
     for (int b = 0; b < benefactors; ++b) {
       sc.benefactor_nodes.push_back(client_nodes + b);
     }
@@ -87,7 +91,7 @@ std::vector<StoreClient::ChunkFetch> BatchRead(
 
 TEST(BatchRpcTest, KChunkRunIsOneBenefactorRequest) {
   constexpr uint32_t kChunks = 8;
-  Rig rig(/*benefactors=*/1, /*batch_rpc=*/true);
+  Rig rig(/*benefactors=*/1, kUnbounded);
   const auto data = Pattern(kChunks * kChunk, 7);
   const FileId id = rig.WriteFile("/one", kChunks, data);
 
@@ -114,7 +118,7 @@ TEST(BatchRpcTest, KChunkRunIsOneBenefactorRequest) {
 TEST(BatchRpcTest, OneRunPerBenefactorAcrossStripes) {
   constexpr int kBenefactors = 4;
   constexpr uint32_t kChunks = 12;  // 3 chunks per benefactor, round-robin
-  Rig rig(kBenefactors, /*batch_rpc=*/true);
+  Rig rig(kBenefactors, kUnbounded);
   const auto data = Pattern(kChunks * kChunk, 13);
   const FileId id = rig.WriteFile("/spread", kChunks, data);
 
@@ -140,18 +144,18 @@ TEST(BatchRpcTest, OneRunPerBenefactorAcrossStripes) {
 
 TEST(BatchRpcTest, BatchedEqualsChunkAtATimeByteForByte) {
   constexpr uint32_t kChunks = 10;
-  Rig batched(/*benefactors=*/3, /*batch_rpc=*/true);
-  Rig legacy(/*benefactors=*/3, /*batch_rpc=*/false);
+  Rig batched(/*benefactors=*/3, kUnbounded);
+  Rig per_chunk(/*benefactors=*/3, /*max_run_chunks=*/1);
   const auto data = Pattern(kChunks * kChunk, 29);
   const FileId idb = batched.WriteFile("/bytes", kChunks, data);
-  const FileId idl = legacy.WriteFile("/bytes", kChunks, data);
+  const FileId idl = per_chunk.WriteFile("/bytes", kChunks, data);
 
   sim::VirtualClock cb(0);
   sim::VirtualClock cl(0);
   std::vector<std::vector<uint8_t>> bb;
   std::vector<std::vector<uint8_t>> bl;
   auto fb = BatchRead(batched.client(), cb, idb, kChunks, bb);
-  auto fl = BatchRead(legacy.client(), cl, idl, kChunks, bl);
+  auto fl = BatchRead(per_chunk.client(), cl, idl, kChunks, bl);
   for (uint32_t i = 0; i < kChunks; ++i) {
     ASSERT_TRUE(fb[i].status.ok());
     ASSERT_TRUE(fl[i].status.ok());
@@ -160,62 +164,109 @@ TEST(BatchRpcTest, BatchedEqualsChunkAtATimeByteForByte) {
               std::memcmp(bb[i].data(), data.data() + i * kChunk, kChunk));
   }
   // Identical data-plane traffic: the run RPC changes timing, not volume.
-  EXPECT_EQ(batched.client().bytes_fetched(), legacy.client().bytes_fetched());
+  EXPECT_EQ(batched.client().bytes_fetched(),
+            per_chunk.client().bytes_fetched());
   for (size_t b = 0; b < 3; ++b) {
     EXPECT_EQ(batched.store->benefactor(b).data_bytes_out(),
-              legacy.store->benefactor(b).data_bytes_out());
+              per_chunk.store->benefactor(b).data_bytes_out());
   }
 }
 
 TEST(BatchRpcTest, BatchOfOneMatchesLegacyVirtualTime) {
   // Arithmetic identity: with one chunk per run, the streamed path must
-  // charge exactly what the per-chunk path charges — same completion
-  // times, same network bytes, same device busy time.
+  // charge exactly what a per-chunk request charges — same completion
+  // times, same network bytes, same device busy time.  The values are the
+  // ones the per-chunk read path (a request header, a device read and a
+  // reply per chunk) produced before runs replaced it.
+  struct Pin {
+    int64_t ready_at;
+    int64_t clock;  // past the lookup only (free when the cache is warm)
+    uint64_t wire_bytes;
+    int64_t busy_ns;
+  };
   for (const bool sparse : {false, true}) {
-    Rig batched(/*benefactors=*/2, /*batch_rpc=*/true);
-    Rig legacy(/*benefactors=*/2, /*batch_rpc=*/false);
-    const auto data = Pattern(kChunk, 31);
-    FileId idb;
-    FileId idl;
-    if (sparse) {
-      // Fallocate but never write: the chunk is a hole on the benefactor.
-      // Each rig gets its own setup clock so their resource timelines are
-      // identical before the measured read.
-      sim::VirtualClock sb(0);
-      sim::VirtualClock sl(0);
-      auto cb = batched.client().Create(sb, "/one");
-      auto cl = legacy.client().Create(sl, "/one");
-      ASSERT_TRUE(cb.ok() && cl.ok());
-      ASSERT_TRUE(batched.client().Fallocate(sb, *cb, kChunk).ok());
-      ASSERT_TRUE(legacy.client().Fallocate(sl, *cl, kChunk).ok());
-      idb = *cb;
-      idl = *cl;
-    } else {
-      idb = batched.WriteFile("/one", 1, data);
-      idl = legacy.WriteFile("/one", 1, data);
+    const Pin pin = sparse ? Pin{247'670, 126'835, 768, 0}
+                           : Pin{1'018'045, 0, 131'904, 807'650};
+    for (const size_t max_run : {kUnbounded, size_t{1}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "sparse=" << sparse << " max_run_chunks=" << max_run);
+      Rig rig(/*benefactors=*/2, max_run);
+      const auto data = Pattern(kChunk, 31);
+      FileId id;
+      if (sparse) {
+        // Fallocate but never write: the chunk is a hole on the benefactor.
+        sim::VirtualClock setup(0);
+        auto created = rig.client().Create(setup, "/one");
+        ASSERT_TRUE(created.ok());
+        ASSERT_TRUE(rig.client().Fallocate(setup, *created, kChunk).ok());
+        id = *created;
+      } else {
+        id = rig.WriteFile("/one", 1, data);
+      }
+
+      sim::VirtualClock clock(0);
+      std::vector<std::vector<uint8_t>> bufs;
+      auto fetches = BatchRead(rig.client(), clock, id, 1, bufs);
+      ASSERT_TRUE(fetches[0].status.ok());
+      EXPECT_EQ(bufs[0], sparse ? std::vector<uint8_t>(kChunk) : data);
+
+      EXPECT_EQ(fetches[0].ready_at, pin.ready_at);
+      EXPECT_EQ(clock.now(), pin.clock);
+      EXPECT_EQ(rig.cluster->network().remote_bytes(), pin.wire_bytes);
+      EXPECT_EQ(rig.cluster->network().bytes_transferred(), pin.wire_bytes);
+      EXPECT_EQ(rig.store->benefactor(0).ssd().channel().busy_ns(),
+                pin.busy_ns);
+      EXPECT_EQ(rig.store->benefactor(0).read_requests(), 1u);
     }
-
-    sim::VirtualClock tb(0);
-    sim::VirtualClock tl(0);
-    std::vector<std::vector<uint8_t>> bb;
-    std::vector<std::vector<uint8_t>> bl;
-    auto fb = BatchRead(batched.client(), tb, idb, 1, bb);
-    auto fl = BatchRead(legacy.client(), tl, idl, 1, bl);
-    ASSERT_TRUE(fb[0].status.ok());
-    ASSERT_TRUE(fl[0].status.ok());
-    EXPECT_EQ(bb[0], bl[0]) << "sparse=" << sparse;
-
-    EXPECT_EQ(fb[0].ready_at, fl[0].ready_at) << "sparse=" << sparse;
-    EXPECT_EQ(tb.now(), tl.now()) << "sparse=" << sparse;
-    EXPECT_EQ(batched.cluster->network().remote_bytes(),
-              legacy.cluster->network().remote_bytes());
-    EXPECT_EQ(batched.cluster->network().bytes_transferred(),
-              legacy.cluster->network().bytes_transferred());
-    EXPECT_EQ(batched.store->benefactor(0).ssd().channel().busy_ns(),
-              legacy.store->benefactor(0).ssd().channel().busy_ns());
-    EXPECT_EQ(batched.store->benefactor(0).read_requests(),
-              legacy.store->benefactor(0).read_requests());
   }
+}
+
+TEST(BatchRpcTest, MaxRunChunksOneIssuesOneRunPerChunkInFetchOrder) {
+  // max_run_chunks=1 is the per-chunk request model: every chunk is its
+  // own run RPC, and the runs go out in fetch order (not grouped by
+  // benefactor), so each fetch completes when the per-chunk read path
+  // completed it.  The fetch order here is the reverse of the striping
+  // order; the pinned completion times are the per-chunk path's.
+  constexpr int kBenefactors = 4;
+  constexpr uint32_t kChunks = 12;
+  Rig rig(kBenefactors, /*max_run_chunks=*/1);
+  const auto data = Pattern(kChunks * kChunk, 13);
+  const FileId id = rig.WriteFile("/spread", kChunks, data);
+  std::vector<uint64_t> before(kBenefactors);
+  for (int b = 0; b < kBenefactors; ++b) {
+    before[static_cast<size_t>(b)] =
+        rig.store->benefactor(static_cast<size_t>(b)).read_requests();
+  }
+
+  sim::VirtualClock clock(0);
+  std::vector<std::vector<uint8_t>> bufs(kChunks,
+                                         std::vector<uint8_t>(kChunk));
+  std::vector<StoreClient::ChunkFetch> fetches(kChunks);
+  for (uint32_t i = 0; i < kChunks; ++i) {
+    fetches[i].index = kChunks - 1 - i;
+    fetches[i].out = bufs[i];
+  }
+  ASSERT_TRUE(rig.client().ReadChunks(clock, id, fetches).ok());
+
+  EXPECT_EQ(rig.client().run_rpcs(), kChunks);
+  for (int b = 0; b < kBenefactors; ++b) {
+    EXPECT_EQ(rig.store->benefactor(static_cast<size_t>(b)).read_requests() -
+                  before[static_cast<size_t>(b)],
+              kChunks / kBenefactors)
+        << "benefactor " << b;
+  }
+  // The client NIC serialises the replies, one chunk transfer apart.
+  constexpr int64_t kFirstReady = 1'018'045;
+  constexpr int64_t kPerChunk = 1'016'499;
+  for (uint32_t i = 0; i < kChunks; ++i) {
+    ASSERT_TRUE(fetches[i].status.ok());
+    EXPECT_EQ(fetches[i].ready_at, kFirstReady + i * kPerChunk)
+        << "fetch " << i;
+    EXPECT_EQ(0, std::memcmp(bufs[i].data(),
+                             data.data() + fetches[i].index * kChunk, kChunk))
+        << "fetch " << i;
+  }
+  EXPECT_EQ(clock.now(), 0);  // locations were warm: no lookup charged
 }
 
 TEST(BatchRpcTest, RunAmortisesDeviceRequestLatency) {
@@ -224,24 +275,24 @@ TEST(BatchRpcTest, RunAmortisesDeviceRequestLatency) {
   // (on the default NIC-bound profile it only shows in device busy time).
   constexpr uint32_t kChunks = 8;
   constexpr double kFastNic = 100'000.0;
-  Rig batched(/*benefactors=*/1, /*batch_rpc=*/true, /*client_nodes=*/1,
-              kFastNic);
-  Rig legacy(/*benefactors=*/1, /*batch_rpc=*/false, /*client_nodes=*/1,
-             kFastNic);
+  Rig batched(/*benefactors=*/1, kUnbounded, /*client_nodes=*/1, kFastNic);
+  Rig per_chunk(/*benefactors=*/1, /*max_run_chunks=*/1, /*client_nodes=*/1,
+                kFastNic);
   const auto data = Pattern(kChunks * kChunk, 37);
   const FileId idb = batched.WriteFile("/amortise", kChunks, data);
-  const FileId idl = legacy.WriteFile("/amortise", kChunks, data);
+  const FileId idl = per_chunk.WriteFile("/amortise", kChunks, data);
 
   const int64_t busy_b0 =
       batched.store->benefactor(0).ssd().channel().busy_ns();
-  const int64_t busy_l0 = legacy.store->benefactor(0).ssd().channel().busy_ns();
+  const int64_t busy_l0 =
+      per_chunk.store->benefactor(0).ssd().channel().busy_ns();
 
   sim::VirtualClock tb(0);
   sim::VirtualClock tl(0);
   std::vector<std::vector<uint8_t>> bb;
   std::vector<std::vector<uint8_t>> bl;
   auto fb = BatchRead(batched.client(), tb, idb, kChunks, bb);
-  auto fl = BatchRead(legacy.client(), tl, idl, kChunks, bl);
+  auto fl = BatchRead(per_chunk.client(), tl, idl, kChunks, bl);
   int64_t done_b = 0;
   int64_t done_l = 0;
   for (uint32_t i = 0; i < kChunks; ++i) {
@@ -258,7 +309,7 @@ TEST(BatchRpcTest, RunAmortisesDeviceRequestLatency) {
   const int64_t busy_b =
       batched.store->benefactor(0).ssd().channel().busy_ns() - busy_b0;
   const int64_t busy_l =
-      legacy.store->benefactor(0).ssd().channel().busy_ns() - busy_l0;
+      per_chunk.store->benefactor(0).ssd().channel().busy_ns() - busy_l0;
   EXPECT_EQ(busy_l - busy_b, (kChunks - 1) * latency);
   // ...and the single-benefactor batch (SSD-bound under the fast NIC)
   // finishes at least that much earlier end to end.
@@ -272,7 +323,7 @@ TEST(BatchRpcTest, ConcurrentBatchedReadersSeeSameBytes) {
   // label); every reader must see the exact file bytes.
   constexpr int kReaders = 3;
   constexpr uint32_t kChunks = 12;
-  Rig rig(/*benefactors=*/4, /*batch_rpc=*/true, /*client_nodes=*/kReaders);
+  Rig rig(/*benefactors=*/4, kUnbounded, /*client_nodes=*/kReaders);
   const auto data = Pattern(kChunks * kChunk, 41);
   const FileId id = rig.WriteFile("/storm", kChunks, data);
 

@@ -185,17 +185,6 @@ TEST(RunningStatsTest, MergeMatchesCombined) {
   EXPECT_EQ(a.max(), all.max());
 }
 
-TEST(LatencyHistogramTest, CountsAndPercentiles) {
-  LatencyHistogram h;
-  for (uint64_t i = 1; i <= 1000; ++i) h.Record(i);
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_NEAR(h.mean(), 500.5, 1.0);
-  // p50 of values 1..1000 lands in the [512,1024) bucket's midpoint zone.
-  EXPECT_GT(h.Percentile(99), h.Percentile(10));
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-}
-
 TEST(BitmapTest, SetClearTest) {
   Bitmap bm(130);
   EXPECT_EQ(bm.size(), 130u);

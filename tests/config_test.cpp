@@ -3,6 +3,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "store/report.hpp"
@@ -55,6 +57,26 @@ TEST(ConfigTest, BoolSpellings) {
 TEST(ConfigTest, RejectsMalformedTokens) {
   EXPECT_FALSE(Config::FromArgs({"novalue"}).ok());
   EXPECT_FALSE(Config::FromArgs({"=value"}).ok());
+}
+
+TEST(ConfigTest, UnreadKeysListsWhatNoGetterRead) {
+  auto c = Config::FromArgs({"workload=mm", "x=8", "cache=2M",
+                             "readahed=0", "tile=32"});
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(c->UnreadKeys(),
+            (std::vector<std::string>{"cache", "readahed", "tile", "workload",
+                                      "x"}));
+  // Every typed getter counts, whether or not the key was set; Has() is a
+  // probe, not a read.
+  EXPECT_TRUE(c->Has("tile"));
+  EXPECT_EQ(c->GetString("workload"), "mm");
+  EXPECT_EQ(c->GetInt("x"), 8);
+  EXPECT_EQ(c->GetBytes("cache"), 2_MiB);
+  EXPECT_FALSE(c->GetBool("missing"));
+  EXPECT_DOUBLE_EQ(c->GetDouble("tile"), 32.0);
+  EXPECT_EQ(c->UnreadKeys(), (std::vector<std::string>{"readahed"}));
+  Config empty;
+  EXPECT_TRUE(empty.UnreadKeys().empty());
 }
 
 TEST(ConfigTest, ParsesFileWithCommentsAndBlanks) {

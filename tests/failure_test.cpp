@@ -1134,16 +1134,15 @@ std::vector<size_t> AllPages() {
 TEST(SlotFlushTest, PartialFlushFromUnfetchedSlotStoresBasePlusNewPages) {
   // The slot's never-fetched pages are unspecified; only the dirty pages
   // may reach the store, and the checksum the manager records must be the
-  // one of the merged blob each replica holds.  Both write paths — the
-  // per-chunk WriteChunkPages and the batched write run — at replication
-  // 1 and 2.
+  // one of the merged blob each replica holds.  Unbounded runs and runs
+  // of one chunk (max_run_chunks=1), at replication 1 and 2.
   for (bool batched : {false, true}) {
     for (int replication : {1, 2}) {
       SCOPED_TRACE(::testing::Message() << "batched " << batched
                                         << " replication " << replication);
       Rig rig(replication, /*benefactors=*/4, /*maintenance=*/false,
               [batched](store::StoreConfig& s) {
-                s.batch_write_rpc = batched;
+                if (!batched) s.max_run_chunks = 1;
               });
       const SlotFlush f = FlushFromUnfetchedSlot(rig, {1, 5});
       ASSERT_EQ(f.benefactors.size(), static_cast<size_t>(replication));
@@ -1176,7 +1175,7 @@ TEST(SlotFlushTest, FullDirtyFlushStoresClientChecksumVerbatim) {
                                         << " replication " << replication);
       Rig rig(replication, /*benefactors=*/4, /*maintenance=*/false,
               [batched](store::StoreConfig& s) {
-                s.batch_write_rpc = batched;
+                if (!batched) s.max_run_chunks = 1;
               });
       const SlotFlush f = FlushFromUnfetchedSlot(rig, all);
       ASSERT_EQ(f.stored, f.image);
@@ -1224,7 +1223,7 @@ TEST(SlotFlushTest, FlushChecksumChargesAreUnchanged) {
       const auto flush_ns = [&](double gbps, const std::vector<size_t>& pages) {
         Rig rig(replication, /*benefactors=*/4, /*maintenance=*/false,
                 [&](store::StoreConfig& s) {
-                  s.batch_write_rpc = batched;
+                  if (!batched) s.max_run_chunks = 1;
                   s.checksum_bw_gbps = gbps;
                 });
         return FlushFromUnfetchedSlot(rig, pages).flush_ns;
@@ -1374,9 +1373,9 @@ TEST(OnePassReadTest, BitFlipSurfacesAsCorruptFromReadChunkRunAtAnyPosition) {
       const Status s = run(&ready, &elapsed);
       EXPECT_EQ(s.code(), ErrorCode::kCorrupt) << "flip at " << off;
       EXPECT_EQ(ready.size(), bad) << "flip at " << off;
-      // The run stops at the bad chunk's check, before its verification
-      // time is charged.
-      EXPECT_EQ(elapsed, 337'144 + kChunkRead * static_cast<int64_t>(bad))
+      // The run stops at the bad chunk's check, once its verification —
+      // the hash that found the mismatch — has been charged.
+      EXPECT_EQ(elapsed, kFirstReady + kChunkRead * static_cast<int64_t>(bad))
           << "flip at " << off;
       ASSERT_TRUE(b.CorruptChunk(keys[bad], off, 0x80).ok());  // flip back
     }

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -50,7 +51,8 @@ struct Harness {
   // RS(4,2) stripe has six distinct failure domains plus repair spares.
   int nbens = kBenefactors;
 
-  explicit Harness(int replication, bool batch_write_rpc = true,
+  explicit Harness(int replication,
+                   size_t max_run_chunks = std::numeric_limits<size_t>::max(),
                    bool maintenance = false,
                    std::function<void(store::StoreConfig&)> tweak = {},
                    int benefactors = kBenefactors) {
@@ -61,7 +63,7 @@ struct Harness {
     store::AggregateStoreConfig sc;
     sc.store.chunk_bytes = kChunk;
     sc.store.replication = replication;
-    sc.store.batch_write_rpc = batch_write_rpc;
+    sc.store.max_run_chunks = max_run_chunks;
     if (maintenance) {
       sc.store.maintenance = true;
       sc.store.heartbeat_period_ms = 1;
@@ -214,13 +216,13 @@ struct Harness {
   std::string NameFor(uint64_t i) { return "/f" + std::to_string(i % 100); }
 };
 
-// Options beyond the op dice: flip the batched write-back knob off (the
-// per-chunk legacy path must uphold the same invariants) or inject a
+// Options beyond the op dice: cap runs at one chunk (max_run_chunks=1:
+// per-chunk requests must uphold the same invariants) or inject a
 // benefactor death partway through the sequence (kill_after_writes > 0:
 // one benefactor dies after that many more chunk writes, so the sequence
 // continues across degraded write-backs and replica failover).
 struct SequenceOptions {
-  bool batch_write_rpc = true;
+  size_t max_run_chunks = std::numeric_limits<size_t>::max();
   uint64_t kill_after_writes = 0;
   // Run the background maintenance service: after every op the harness
   // quiesces it, so the invariants assert that background repair lands the
@@ -251,7 +253,7 @@ struct SequenceOptions {
 void RunSequence(uint64_t seed, int replication, int ops,
                  const SequenceOptions& so = {}) {
   ops = StressIters(ops);  // nightly tier runs the same seeds 10x deeper
-  Harness h(replication, so.batch_write_rpc, so.maintenance, so.tweak,
+  Harness h(replication, so.max_run_chunks, so.maintenance, so.tweak,
             so.benefactors);
   if (so.kill_after_writes > 0) {
     h.store->benefactor(2).KillAfterWrites(so.kill_after_writes);
@@ -410,7 +412,7 @@ TEST(StoreInvariantTest, RandomOpsKeepLayersConsistentWithReplication) {
 
 TEST(StoreInvariantTest, RandomOpsKeepLayersConsistentUnbatchedWriteback) {
   SequenceOptions so;
-  so.batch_write_rpc = false;
+  so.max_run_chunks = 1;
   RunSequence(/*seed=*/3, /*replication=*/1, /*ops=*/120, so);
 }
 
@@ -523,7 +525,8 @@ TEST(StoreInvariantTest, ManagerRestartMidRepairStormConverges) {
   // service must converge to a fully replicated, drift-free store: no
   // chunk double-repaired (exact replica sets), no reservation leaked or
   // double-counted (exact space accounting), no byte lost.
-  Harness h(/*replication=*/2, /*batch_write_rpc=*/true, /*maintenance=*/true,
+  Harness h(/*replication=*/2, std::numeric_limits<size_t>::max(),
+            /*maintenance=*/true,
             [](store::StoreConfig& s) {
               s.wal = true;
               s.meta_shards = 4;
