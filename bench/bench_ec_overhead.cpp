@@ -12,12 +12,19 @@
 //       (same constants: the store keeps what it wrote), and
 //   (c) the achieved write bandwidth in virtual time, where erasure
 //       coding's smaller device footprint is partly offset by fanning
-//       each chunk out as six sub-chunk fragment writes.
+//       each chunk out as six sub-chunk fragment writes, and
+//   (d) random small writes: flush windows of 16 random chunks with one
+//       dirty page each, over images the writer holds whole (as a chunk
+//       cache does after the first touch).  Replication ships the dirty
+//       pages; RS(4,2) re-encodes and rewrites every touched stripe in
+//       full, but needs no read-modify-write fetch, and both modes pay one
+//       metadata round trip per window.
 // Both datasets are read back byte-exact afterwards so the overhead
 // numbers describe stores that actually work.
 //
 // `--quick` shrinks the dataset for CI smoke runs; every SHAPE check
 // still executes.
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -34,6 +41,7 @@ namespace {
 
 constexpr uint64_t kChunk = 64_KiB;
 constexpr int kBenefactors = 8;
+constexpr uint32_t kWindowChunks = 16;  // chunks per small-write window
 
 uint32_t g_chunks = 512;  // 32 MiB logical dataset (128 with --quick)
 
@@ -41,6 +49,9 @@ struct ModeResult {
   double write_gbps = 0;  // logical bytes / virtual write time
   double write_amp = 0;   // device bytes ingested / logical bytes
   double space_amp = 0;   // device bytes at rest / logical bytes
+  // Random small writes: virtual time and metadata round trips per window.
+  double window_us = 0;
+  double window_rtts = 0;
 };
 
 ModeResult RunMode(bool ec) {
@@ -94,6 +105,43 @@ ModeResult RunMode(bool ec) {
     at_rest += ben.bytes_used();
   }
 
+  // Random small writes: g_chunks/16 windows of 16 distinct random chunks,
+  // one random page each, flushed over wholly valid images.
+  const size_t pages = kChunk / client.config().page_bytes;
+  Bitmap dirty_proto(pages);
+  std::vector<Bitmap> dirty(kWindowChunks, dirty_proto);
+  std::vector<store::StoreClient::ChunkWrite> writes(kWindowChunks);
+  const uint32_t windows = g_chunks / kWindowChunks;
+  const uint64_t rtts0 = client.meta_round_trips();
+  const int64_t s0 = clock.now();
+  for (uint32_t w = 0; w < windows; ++w) {
+    std::vector<uint32_t> picked;
+    while (picked.size() < kWindowChunks) {
+      const auto c = static_cast<uint32_t>(rng.Next() % g_chunks);
+      if (std::find(picked.begin(), picked.end(), c) == picked.end()) {
+        picked.push_back(c);
+      }
+    }
+    for (uint32_t i = 0; i < kWindowChunks; ++i) {
+      const size_t page = rng.Next() % pages;
+      uint8_t* bytes = data.data() + picked[i] * kChunk;
+      for (uint64_t b = 0; b < client.config().page_bytes; ++b) {
+        bytes[page * client.config().page_bytes + b] =
+            static_cast<uint8_t>(rng.Next());
+      }
+      dirty[i] = dirty_proto;
+      dirty[i].Set(page);
+      writes[i].index = picked[i];
+      writes[i].dirty = &dirty[i];
+      writes[i].valid = &all;
+      writes[i].image = {bytes, kChunk};
+    }
+    NVM_CHECK(client.WriteChunks(clock, id, writes).ok());
+    for (const auto& wr : writes) NVM_CHECK(wr.status.ok());
+  }
+  const int64_t small_ns = clock.now() - s0;
+  const uint64_t small_rtts = client.meta_round_trips() - rtts0;
+
   // Byte-exact read-back: the cheaper mode still has to return the data.
   std::vector<uint8_t> buf(kChunk);
   for (uint32_t i = 0; i < g_chunks; ++i) {
@@ -108,6 +156,8 @@ ModeResult RunMode(bool ec) {
       static_cast<double>(ingested) / static_cast<double>(logical);
   r.space_amp =
       static_cast<double>(at_rest) / static_cast<double>(logical);
+  r.window_us = static_cast<double>(small_ns) / 1e3 / windows;
+  r.window_rtts = static_cast<double>(small_rtts) / windows;
   return r;
 }
 
@@ -141,6 +191,16 @@ int main(int argc, char** argv) {
   Note("RS(4,2) stores (k+m)/k = 1.5 device bytes per logical byte yet "
        "tolerates two losses; replication pays 2.0x for one.");
 
+  Table small({"mode", "Window time (us)", "Metadata RTTs / window"});
+  small.AddRow({"replication r=2", Fmt("%.1f", repl.window_us),
+                Fmt("%.2f", repl.window_rtts)});
+  small.AddRow({"RS(4,2)", Fmt("%.1f", ec.window_us),
+                Fmt("%.2f", ec.window_rtts)});
+  small.Print();
+  Note("Random small writes: windows of %u chunks, one dirty page each, "
+       "images wholly valid.",
+       kWindowChunks);
+
   bool ok = true;
   ok &= Shape(repl.write_amp >= 1.9 && repl.write_amp <= 2.1,
               "replication-2 ingests ~2 device bytes per logical byte "
@@ -159,6 +219,10 @@ int main(int argc, char** argv) {
   ok &= Shape(ec.space_amp >= 1.4 && ec.space_amp <= 1.6,
               "RS(4,2) holds ~1.5x the logical bytes at rest (%.3f)",
               ec.space_amp);
+  ok &= Shape(ec.window_rtts == 1.0,
+              "an RS(4,2) small-write window costs one metadata round trip "
+              "(%.2f)",
+              ec.window_rtts);
 
   JsonReport json("ec_overhead");
   json.Add("quick", quick);
@@ -168,6 +232,10 @@ int main(int argc, char** argv) {
   json.Add("ec_write_gbps", ec.write_gbps);
   json.Add("ec_write_amp", ec.write_amp);
   json.Add("ec_space_amp", ec.space_amp);
+  json.Add("repl_smallwrite_window_us", repl.window_us);
+  json.Add("repl_smallwrite_rtts_per_window", repl.window_rtts);
+  json.Add("ec_smallwrite_window_us", ec.window_us);
+  json.Add("ec_smallwrite_rtts_per_window", ec.window_rtts);
   json.Add("shape_ok", ok);
   json.Print();
   return ok ? 0 : 1;

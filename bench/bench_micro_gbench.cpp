@@ -231,6 +231,53 @@ void BM_ReadChunkRun(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadChunkRun)->Arg(1)->Arg(8);
 
+// Host cost of one erasure-coded flush window of range(0) RS(4,2) stripes
+// over six benefactors, one dirty page each over an image the caller holds
+// whole: the stripe encode and fragment checksums, one prepare, and one
+// fragment run per benefactor.
+void BM_EcFlushWindow(benchmark::State& state) {
+  const auto stripes = static_cast<uint32_t>(state.range(0));
+  net::ClusterConfig cc;
+  cc.num_nodes = 7;
+  net::Cluster cluster(cc);
+  store::AggregateStoreConfig sc;
+  sc.benefactor_nodes = {1, 2, 3, 4, 5, 6};
+  sc.contribution_bytes = 256_MiB;
+  sc.manager_node = 1;
+  sc.store.chunk_bytes = 64_KiB;
+  sc.store.redundancy = store::RedundancyMode::kErasure;
+  sc.store.ec_k = 4;
+  sc.store.ec_m = 2;
+  store::AggregateStore store(cluster, sc);
+  store::StoreClient& client = store.ClientForNode(0);
+  sim::VirtualClock clock(0);
+  auto id = client.Create(clock, "/ecw");
+  NVM_CHECK(id.ok());
+  NVM_CHECK(client.Fallocate(clock, *id, stripes * 64_KiB).ok());
+  const auto images = RandomBytes(stripes * 64_KiB);
+  const size_t pages = 64_KiB / client.config().page_bytes;
+  Bitmap all(pages);
+  all.SetAll();
+  std::vector<Bitmap> dirty(stripes, Bitmap(pages));
+  std::vector<store::StoreClient::ChunkWrite> writes(stripes);
+  for (uint32_t i = 0; i < stripes; ++i) {
+    dirty[i].Set(i % pages);
+    writes[i].index = i;
+    writes[i].dirty = &dirty[i];
+    writes[i].valid = &all;
+    writes[i].image = {images.data() + i * 64_KiB, 64_KiB};
+    NVM_CHECK(client.WriteChunkPages(clock, *id, i, all, writes[i].image)
+                  .ok());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(client.WriteChunks(clock, *id, writes));
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(images.size()));
+}
+BENCHMARK(BM_EcFlushWindow)->Arg(1)->Arg(16);
+
 struct CacheFixtureState {
   std::unique_ptr<net::Cluster> cluster;
   std::unique_ptr<store::AggregateStore> store;

@@ -91,14 +91,12 @@ void ChunkCache::TouchLocked(Shard& sh, const SlotKey& key, Slot& slot) {
 
 int64_t ChunkCache::ScheduleOnDaemon(int64_t t0, int64_t duration_ns) {
   if (duration_ns <= 0) return t0;
-  if (!config_.serialize_daemon) return t0 + duration_ns;
   auto& lane = *daemons_[daemon_rr_.fetch_add(1, std::memory_order_relaxed) %
                          daemons_.size()];
   return lane.Schedule(t0, duration_ns) + duration_ns;
 }
 
 void ChunkCache::SerializeOnDaemon(sim::VirtualClock& clock, int64_t t0) {
-  if (!config_.serialize_daemon) return;
   // The operation's device/network reservations stay where they were made;
   // the *caller* additionally queues on one of the daemon's worker lanes
   // for the operation's duration, which is what throttles concurrent
@@ -155,6 +153,7 @@ Status ChunkCache::FlushFileWindow(sim::VirtualClock& clock,
       w.dirty = &whole.back();
     }
     w.image = bytes(it->second);
+    w.valid = &it->second.valid;
     writes.push_back(w);
     entries.push_back({&it->second, w.dirty->PopCount()});
   }
@@ -164,8 +163,7 @@ Status ChunkCache::FlushFileWindow(sim::VirtualClock& clock,
   // the modelled kernel-writeback thread — so the evicting process keeps
   // going while the devices absorb the write.
   sim::VirtualClock detached(clock.now());
-  sim::VirtualClock& wclock =
-      (background && config_.async_writeback) ? detached : clock;
+  sim::VirtualClock& wclock = background ? detached : clock;
   const int64_t t0 = wclock.now();
   // A failed batched prepare leaves every slot dirty and no traffic
   // counted — failed flushes must not inflate store_bytes_flushed().

@@ -52,16 +52,9 @@ struct FuseliteConfig {
   int64_t per_op_software_ns = 2'000;  // request handling cost per cache op
   // The FUSE daemon is a per-node user-space service with a small worker
   // pool: chunk fetches issued by the node's processes serialise through
-  // its lanes (the paper's numbers clearly show this bottleneck).  Set
-  // serialize_daemon=false for an idealised fully-parallel client
-  // (ablation); daemon_threads matches FUSE's default multithreading.
-  bool serialize_daemon = true;
+  // its lanes (the paper's numbers clearly show this bottleneck);
+  // daemon_threads matches FUSE's default multithreading.
   int daemon_threads = 8;  // one per core, as FUSE spawns them
-  // Dirty chunks evicted under pressure are written back on a background
-  // (detached) clock, like the kernel's writeback threads: the evicting
-  // process does not stall for the store write, though the devices and
-  // NICs are still occupied.  Explicit Flush()/Sync() remain synchronous.
-  bool async_writeback = true;
   // Number of lock shards (rounded up to a power of two; 1 = the old
   // single-mutex cache).  Capacity accounting stays global.
   size_t cache_shards = 16;
@@ -241,7 +234,13 @@ class ChunkCache {
                            Slot& slot, size_t first_page, size_t last_page);
   // Write back the dirty slots among `indices` of one file as ONE batched
   // store write (StoreClient::WriteChunks): one metadata round-trip and
-  // one streamed run per benefactor for the whole window.  Locks every
+  // one streamed run per benefactor for the whole window.  Each chunk goes
+  // with its valid-page map, so an erasure stripe the cache holds whole
+  // is encoded without a read-modify-write fetch.  Dirty chunks evicted
+  // under pressure (`background`) are written back on a detached clock,
+  // like the kernel's writeback threads: the evicting process does not
+  // stall for the store write, though the devices and NICs are still
+  // occupied; explicit Flush()/Sync() stay synchronous.  Locks every
   // involved shard in ascending shard-index order (all other paths hold
   // at most one shard lock, so this cannot deadlock), re-finds the slots
   // (clean/evicted ones are skipped), and clears dirty bits — and counts

@@ -167,6 +167,8 @@ Status Benefactor::CorruptChunk(const ChunkKey& key, uint64_t byte_offset,
 
 Benefactor::CopyOut Benefactor::CopyOutLocked(const StoredChunk& chunk,
                                               std::span<uint8_t> out) const {
+  NVM_CHECK(chunk.data.size() == out.size(), "stored blob is %zu bytes, read "
+            "asks for %zu", chunk.data.size(), out.size());
   CopyOut copy;
   copy.offset = chunk.ssd_offset;
   copy.verified = config_.verify_reads && chunk.has_crc;
@@ -201,7 +203,7 @@ Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
     NVM_RETURN_IF_ERROR(EnsureAlive());
     const ChunkKey& key = keys[i];
     const std::span<uint8_t> out = outs[i];
-    NVM_CHECK(out.size() == config_.chunk_bytes);
+    NVM_CHECK(IsBlobSize(out.size()));
     ChunkRunItem item;
     item.key = key;
     std::optional<CopyOut> copy;
@@ -223,19 +225,17 @@ Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
     // pays the per-request read latency, the rest stream at bandwidth.
     // QoS admits chunk-by-chunk, so a throttled tenant's long run leaves
     // gaps other tenants backfill instead of one multi-millisecond hog.
-    AdmitTransfer(clock, tenant, config_.chunk_bytes, /*is_write=*/false,
-                  config_.chunk_bytes);
-    node_.ssd().ChargeRead(clock, copy->offset, config_.chunk_bytes,
-                           first_data_chunk);
+    AdmitTransfer(clock, tenant, out.size(), /*is_write=*/false, out.size());
+    node_.ssd().ChargeRead(clock, copy->offset, out.size(), first_data_chunk);
     first_data_chunk = false;
-    data_bytes_out_.Add(config_.chunk_bytes);
+    data_bytes_out_.Add(out.size());
     // Verify before the chunk enters the reply stream; a mismatch aborts
     // the whole run (like a mid-run death, but with CORRUPT) once the
     // check that found it is done, and the caller falls over to another
     // replica.
     if (copy->verified) {
       verify_done_ns = std::max(verify_done_ns, clock.now()) +
-                       config_.checksum_ns(config_.chunk_bytes);
+                       config_.checksum_ns(out.size());
       verified_any = true;
       if (!copy->intact) {
         clock.AdvanceTo(verify_done_ns);
@@ -261,8 +261,9 @@ Benefactor::MergeResult Benefactor::MergeDirtyPages(
     sim::VirtualClock& clock, const ChunkKey& key, const Bitmap& dirty,
     std::span<const uint8_t> data, const uint32_t* crc, uint32_t* stored_crc) {
   MergeResult result;
+  const uint64_t blob = data.size();
   const size_t dirty_pages = dirty.PopCount();
-  const bool full_image = dirty_pages == config_.pages_per_chunk();
+  const bool full_image = dirty_pages == dirty.size();
   bool verified_base = false;
   bool hashed_merge = false;
   {
@@ -272,9 +273,12 @@ Benefactor::MergeResult Benefactor::MergeDirtyPages(
       StoredChunk chunk;
       // A fresh chunk reads as zeros outside its dirty pages; a full-image
       // write overwrites every byte below, so it skips the zero-fill.
-      if (!full_image) chunk.data.assign(config_.chunk_bytes, 0);
+      if (!full_image) chunk.data.assign(blob, 0);
       chunk.ssd_offset = AllocateOffset();
       it = chunks_.emplace(key, std::move(chunk)).first;
+    } else {
+      NVM_CHECK(it->second.data.size() == blob,
+                "blob size changed under %s", key.ToString().c_str());
     }
     StoredChunk& chunk = it->second;
     if (config_.integrity() && chunk.has_crc && dirty_pages > 0 &&
@@ -325,8 +329,8 @@ Benefactor::MergeResult Benefactor::MergeDirtyPages(
       if (stored_crc != nullptr && chunk.has_crc) *stored_crc = chunk.crc;
     }
   }
-  if (verified_base) clock.Advance(config_.checksum_ns(config_.chunk_bytes));
-  if (hashed_merge) clock.Advance(config_.checksum_ns(config_.chunk_bytes));
+  if (verified_base) clock.Advance(config_.checksum_ns(blob));
+  if (hashed_merge) clock.Advance(config_.checksum_ns(blob));
   return result;
 }
 
@@ -380,8 +384,8 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
     // unwritten on this replica.
     NVM_RETURN_IF_ERROR(EnsureAlive());
     NVM_CHECK(item.dirty != nullptr);
-    NVM_CHECK(item.data.size() == config_.chunk_bytes);
-    NVM_CHECK(item.dirty->size() == config_.pages_per_chunk());
+    NVM_CHECK(IsBlobSize(item.data.size()));
+    NVM_CHECK(item.dirty->size() * config_.page_bytes == item.data.size());
 
     if (item.needs_clone) {
       // The clone instruction is its own control message; the local copy
@@ -426,76 +430,6 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
       MaybeCorruptAfterWrite();
     }
   }
-  return OkStatus();
-}
-
-Status Benefactor::WriteFragment(sim::VirtualClock& clock, const ChunkKey& key,
-                                 std::span<const uint8_t> data,
-                                 const uint32_t* crc, TenantId /*tenant*/) {
-  NVM_RETURN_IF_ERROR(EnsureAlive());
-  write_requests_.Add(1);
-  NVM_CHECK(data.size() > 0 && data.size() <= config_.chunk_bytes);
-  uint64_t offset = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = chunks_.find(key);
-    if (it == chunks_.end()) {
-      StoredChunk chunk;
-      chunk.ssd_offset = AllocateOffset();
-      it = chunks_.emplace(key, std::move(chunk)).first;
-    } else {
-      NVM_CHECK(it->second.data.size() == data.size(),
-                "fragment size changed under %s", key.ToString().c_str());
-    }
-    it->second.data.assign(data.begin(), data.end());
-    offset = it->second.ssd_offset;
-    if (config_.integrity() && crc != nullptr) {
-      it->second.crc = *crc;
-      it->second.has_crc = true;
-    }
-  }
-  // No admission here: the caller admitted before shipping the fragment.
-  node_.ssd().ChargeWrite(clock, offset, data.size());
-  data_bytes_in_.Add(data.size());
-  MaybeKillAfterWrite();
-  MaybeCorruptAfterWrite();
-  return OkStatus();
-}
-
-Status Benefactor::ReadFragment(sim::VirtualClock& clock, const ChunkKey& key,
-                                std::span<uint8_t> out, bool* sparse,
-                                TenantId tenant) {
-  NVM_RETURN_IF_ERROR(EnsureAlive());
-  read_requests_.Add(1);
-  if (sparse != nullptr) *sparse = false;
-  CopyOut copy;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = chunks_.find(key);
-    if (it == chunks_.end()) {
-      // Reserved-but-never-written fragment: sparse read, all zeros, no
-      // device access.
-      std::memset(out.data(), 0, out.size());
-      if (sparse != nullptr) *sparse = true;
-      return OkStatus();
-    }
-    NVM_CHECK(it->second.data.size() == out.size(),
-              "fragment size mismatch on %s", key.ToString().c_str());
-    copy = CopyOutLocked(it->second, out);
-  }
-  AdmitTransfer(clock, tenant, out.size(), /*is_write=*/false, out.size());
-  node_.ssd().ChargeRead(clock, copy.offset, out.size());
-  data_bytes_out_.Add(out.size());
-  // Verify before serving: a rotted fragment must surface as CORRUPT, not
-  // poison a reconstruction with wrong bytes.
-  if (copy.verified) {
-    clock.Advance(config_.checksum_ns(out.size()));
-    if (!copy.intact) {
-      return Corrupt("benefactor " + std::to_string(id_) +
-                     ": fragment checksum mismatch on " + key.ToString());
-    }
-  }
-  MaybeKillAfterRead();
   return OkStatus();
 }
 

@@ -57,12 +57,19 @@ class Benefactor {
 
   // --- data plane (invoked by StoreClient after a location lookup) ---
 
+  // Every stored blob is an item of the run RPCs below: a replica is
+  // chunk_bytes, an erasure fragment ec_frag_bytes() (stored under the
+  // chunk's plain ChunkKey — failure-domain spreading guarantees at most
+  // one fragment of a stripe per benefactor).  An item's buffers are
+  // sized to its blob, and every device, wire and checksum charge follows
+  // that size.
+
   // Multi-chunk streamed read — the run RPC, and the only chunk read
   // there is.  One call is ONE request at this benefactor (one header, one
   // device queueing slot): each stored chunk is charged to the device on
   // `clock` (reads of a run serialise on the SSD channel), but only the
   // first pays the per-request read latency.  Chunk keys[i] is copied
-  // straight into outs[i] (chunk_bytes each); with config.verify_reads the
+  // straight into outs[i] (sized to the blob); with config.verify_reads the
   // copy checksums the bytes in the same pass (Crc32cCopy; CPU charged at
   // checksum_bw_gbps), so the bytes checked are exactly the bytes
   // delivered.  A chunk that was reserved but never written reads as
@@ -109,7 +116,7 @@ class Benefactor {
   // only its dirty pages on the stored chunk (materialising it if absent)
   // and only those are charged to the device — the write-optimisation
   // path of Table VII.  An item's crc is stored verbatim when its dirty
-  // set covers the whole chunk; otherwise (partial write, or no crc) the
+  // set covers the whole blob; otherwise (partial write, or no crc) the
   // benefactor checksums the merged image, charging the checksum CPU
   // cost, and `stored_crc` returns what was stored — the value the caller
   // must hand the manager as authoritative.  If the benefactor dies
@@ -130,29 +137,6 @@ class Benefactor {
         MakeWriteItem(key, dirty_pages, data, crc, stored_crc);
     return WriteChunkRun(clock, {&item, 1}, LocalRunSend, tenant);
   }
-
-  // --- erasure-coded fragment plane ---
-  // A fragment is stored under the chunk's plain ChunkKey (failure-domain
-  // spreading guarantees at most one fragment of a stripe per benefactor)
-  // as a blob of chunk_bytes/ec_k bytes.  Fragments are always written
-  // whole (the client's EC write path is full-stripe), so there is no
-  // dirty-page or merge machinery here.
-
-  // Store the full fragment image.  `crc` is the caller-computed CRC32C
-  // of the fragment (stored verbatim; ignored when integrity is off).
-  Status WriteFragment(sim::VirtualClock& clock, const ChunkKey& key,
-                       std::span<const uint8_t> data,
-                       const uint32_t* crc = nullptr,
-                       TenantId tenant = kTenantForeground);
-
-  // Read the full fragment into `out` (out.size() == ec_frag_bytes).  A
-  // reserved-but-never-written fragment reads as zeros without touching
-  // the device; with config.verify_reads the stored bytes are
-  // re-checksummed before serving and a mismatch fails with CORRUPT —
-  // rot surfaces as an error, never as wrong bytes in a reconstruction.
-  Status ReadFragment(sim::VirtualClock& clock, const ChunkKey& key,
-                      std::span<uint8_t> out, bool* sparse = nullptr,
-                      TenantId tenant = kTenantForeground);
 
   // Copy-on-write support: duplicate `from` under key `to` locally
   // (device read + write of one chunk, no network).
@@ -202,8 +186,8 @@ class Benefactor {
   // "request header + queueing slot" unit the run RPC amortises across a
   // batch.
   uint64_t read_requests() const { return read_requests_.value(); }
-  // Write-plane requests served: every WriteChunkRun (and WriteFragment)
-  // counts once — the unit the write run RPC amortises across a window.
+  // Write-plane requests served: every WriteChunkRun counts once — the
+  // unit the write run RPC amortises across a window.
   uint64_t write_requests() const { return write_requests_.value(); }
   // Scrub verification requests served (kept out of read_requests so the
   // request-amortisation accounting of the run RPCs stays undisturbed).
@@ -231,10 +215,10 @@ class Benefactor {
   // Callers that ship chunk data to this benefactor MUST admit before
   // booking the wire transfer: admission is the request's entry gate, and
   // bytes sent ahead of it would occupy the NIC in front of tenants the
-  // scheduler is protecting.  WriteChunkRun/WriteFragment therefore do
-  // NOT admit internally (a write run's `send` admits each payload); the
-  // read RPCs admit themselves (their payload crosses the wire after the
-  // device read, behind the admission point).
+  // scheduler is protecting.  WriteChunkRun therefore does NOT admit
+  // internally (a write run's `send` admits each payload); the read run
+  // admits itself (its payload crosses the wire after the device read,
+  // behind the admission point).
   void AdmitTransfer(sim::VirtualClock& clock, TenantId tenant,
                      uint64_t ssd_bytes, bool is_write, uint64_t wire_bytes);
 
@@ -254,6 +238,10 @@ class Benefactor {
     bool verified = false;  // hashed against its recorded checksum
     bool intact = true;     // the check passed (or was not made)
   };
+  // True for the two stored-blob sizes: a chunk and an erasure fragment.
+  bool IsBlobSize(uint64_t bytes) const {
+    return bytes == config_.chunk_bytes || bytes == config_.ec_frag_bytes();
+  }
   // Copy `chunk` into `out` (out.size() == the blob's size), hashing it in
   // the same pass when reads verify and the chunk has a checksum.  Caller
   // holds mutex_; charges nothing.

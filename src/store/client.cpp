@@ -13,6 +13,15 @@
 
 namespace nvm::store {
 
+namespace {
+// Position of `benefactor` in a replica list or positional fragment map.
+size_t FragmentPos(const std::vector<int>& holders, int benefactor) {
+  const auto it = std::find(holders.begin(), holders.end(), benefactor);
+  NVM_CHECK(it != holders.end());
+  return static_cast<size_t>(it - holders.begin());
+}
+}  // namespace
+
 StoreClient::StoreClient(net::Cluster& cluster, Manager& manager,
                          int local_node, QosScheduler* qos)
     : cluster_(cluster),
@@ -101,10 +110,10 @@ void StoreClient::InvalidateLocation(FileId id, uint32_t chunk_index) {
 }
 
 Status StoreClient::ReadFailover(sim::VirtualClock& clock, FileId id,
-                                 uint32_t chunk_index,
-                                 std::span<uint8_t> out) {
+                                 uint32_t chunk_index, std::span<uint8_t> out,
+                                 bool refresh) {
   NVM_CHECK(out.size() == manager_.config().chunk_bytes);
-  for (int attempt = 0; attempt < 2; ++attempt) {
+  for (int attempt = refresh ? 1 : 0; attempt < 2; ++attempt) {
     // Second attempt forces a fresh manager lookup (the cached location
     // may be stale after a COW or a benefactor failure).
     NVM_ASSIGN_OR_RETURN(
@@ -113,7 +122,8 @@ Status StoreClient::ReadFailover(sim::VirtualClock& clock, FileId id,
     const ReadLocation& loc = resolved.front();
 
     if (loc.ec) {
-      Status s = ReadStripe(clock, id, chunk_index, loc, out);
+      StripeRead stripe(manager_.config());
+      Status s = ReadStripe(clock, id, chunk_index, loc, out, stripe);
       if (s.ok()) return s;
       // Below k readable fragments on this resolution: quarantines and
       // MarkDeads already went to the manager, so a fresh lookup may see
@@ -123,13 +133,12 @@ Status StoreClient::ReadFailover(sim::VirtualClock& clock, FileId id,
       continue;
     }
 
-    ChunkFetch fetch{chunk_index, out};
     Status last = Unavailable("no replicas");
     for (int bid : loc.benefactors) {
-      Status s = ReadRun(clock, BenefactorRun{bid, {0}}, {&loc, 1},
-                         {&fetch, 1});
+      int64_t ready_at = 0;
+      Status s = ReadRun(clock, bid, {&loc.key, 1}, {&out, 1}, {&ready_at, 1});
       if (s.ok()) {
-        clock.AdvanceTo(fetch.ready_at);
+        clock.AdvanceTo(ready_at);
         return OkStatus();
       }
       last = s;
@@ -156,9 +165,41 @@ Status StoreClient::ReadFailover(sim::VirtualClock& clock, FileId id,
   return Unavailable("no replicas");
 }
 
+void StoreClient::SettleFragment(sim::VirtualClock& clock,
+                                 const ReadLocation& loc, size_t pos,
+                                 const Status& s, int64_t ready_at,
+                                 StripeRead& stripe) {
+  const int bid = loc.benefactors[pos];
+  stripe.tried[pos] = 1;
+  if (s.ok()) {
+    stripe.have[pos] = 1;
+    ++stripe.good;
+    stripe.settled = std::max(stripe.settled, ready_at);
+    return;
+  }
+  stripe.last = s;
+  if (s.code() == ErrorCode::kUnavailable) {
+    manager_.MarkDead(bid);
+    NVM_WLOG("benefactor %d unavailable reading fragment %zu of %s; "
+             "falling over to parity",
+             bid, pos, loc.key.ToString().c_str());
+  } else if (s.code() == ErrorCode::kCorrupt) {
+    // The fragment failed its checksum: rot surfaces as CORRUPT, never as
+    // wrong bytes in the assembled chunk.  Quarantine it and reconstruct
+    // from the survivors.
+    stripe.saw_corrupt = true;
+    corrupt_failovers_.Add(1);
+    manager_.ReportCorrupt(clock, loc.key, bid);
+    NVM_WLOG("benefactor %d served corrupt fragment %zu of %s; "
+             "falling over to parity",
+             bid, pos, loc.key.ToString().c_str());
+  }
+  stripe.settled = std::max(stripe.settled, clock.now());
+}
+
 Status StoreClient::ReadStripe(sim::VirtualClock& clock, FileId id,
                                uint32_t chunk_index, const ReadLocation& loc,
-                               std::span<uint8_t> out) {
+                               std::span<uint8_t> out, StripeRead& stripe) {
   const StoreConfig& cfg = manager_.config();
   const size_t k = cfg.ec_k;
   const size_t nf = cfg.ec_fragments();
@@ -167,90 +208,51 @@ Status StoreClient::ReadStripe(sim::VirtualClock& clock, FileId id,
     return Unavailable("erasure stripe lost");  // durably below k survivors
   }
 
-  // Live positions in preference order: data fragments first (the
-  // systematic fast path), parity fills in for holes and failures.
+  // Live positions not yet tried, in preference order: data fragments
+  // first (the systematic fast path), parity fills in for holes and
+  // failures.
   std::vector<size_t> candidates;
   candidates.reserve(nf);
   for (size_t pos = 0; pos < nf; ++pos) {
-    if (loc.benefactors[pos] >= 0) candidates.push_back(pos);
+    if (loc.benefactors[pos] >= 0 && !stripe.tried[pos]) {
+      candidates.push_back(pos);
+    }
   }
 
-  // Data fragments land straight in their slice of `out` (the systematic
-  // fast path copies nothing twice); only parity fetched by a degraded
-  // round gets a buffer of its own.
-  std::vector<std::vector<uint8_t>> parity(nf - k);
-  std::vector<char> have(nf, 0);
-  size_t good = 0;
-  size_t next = 0;
-  bool saw_corrupt = false;
-  Status last = Unavailable("fewer than k fragments readable");
   // Each round issues the (k - good) outstanding fetches in parallel —
-  // clocks forked at the round start, joined at the max — and failures
-  // discovered at the join pull the next candidates in a follow-up round.
-  int64_t round_start = clock.now();
-  while (good < k && next < candidates.size()) {
-    int64_t join = round_start;
-    const size_t want = std::min(candidates.size(), next + (k - good));
-    const size_t begin = next;
-    next = want;
-    for (size_t c = begin; c < want; ++c) {
-      const size_t pos = candidates[c];
-      const int bid = loc.benefactors[pos];
-      Benefactor* b = manager_.benefactor(bid);
-      NVM_CHECK(b != nullptr);
-      sim::VirtualClock frag_clock(round_start);
-      cluster_.network().Transfer(frag_clock, local_node_, b->node_id(),
-                                  cfg.meta_request_bytes);
+  // runs of one on clocks forked at the round start, joined at the max —
+  // and failures discovered at the join pull the next candidates in a
+  // follow-up round.  Data fragments land straight in their slice of
+  // `out`; only parity gets a buffer of its own.
+  size_t next = 0;
+  while (stripe.good < k && next < candidates.size()) {
+    const int64_t round_start = clock.now();
+    stripe.settled = round_start;
+    const size_t want = std::min(candidates.size(), next + (k - stripe.good));
+    for (; next < want; ++next) {
+      const size_t pos = candidates[next];
       std::span<uint8_t> dst;
       if (pos < k) {
         dst = out.subspan(pos * fb, fb);
       } else {
-        parity[pos - k].resize(fb);
-        dst = parity[pos - k];
+        stripe.parity[pos - k].resize(fb);
+        dst = stripe.parity[pos - k];
       }
-      bool sparse = false;
-      Status s = b->ReadFragment(frag_clock, loc.key, dst, &sparse, tenant_);
-      if (s.ok()) {
-        // A hole costs only the "no such fragment" reply (it reads as
-        // zeros — a never-written region of the stripe).
-        cluster_.network().Transfer(
-            frag_clock, b->node_id(), local_node_,
-            sparse ? cfg.meta_response_bytes : fb);
-        if (!sparse) bytes_fetched_.Add(fb);
-        have[pos] = 1;
-        ++good;
-      } else {
-        last = s;
-        if (s.code() == ErrorCode::kUnavailable) {
-          manager_.MarkDead(bid);
-          NVM_WLOG(
-              "benefactor %d unavailable reading fragment %zu of %s; "
-              "falling over to parity",
-              bid, pos, loc.key.ToString().c_str());
-        } else if (s.code() == ErrorCode::kCorrupt) {
-          // The fragment failed its checksum: rot surfaces as CORRUPT,
-          // never as wrong bytes in the assembled chunk.  Quarantine it
-          // and reconstruct from the survivors.
-          saw_corrupt = true;
-          corrupt_failovers_.Add(1);
-          manager_.ReportCorrupt(frag_clock, loc.key, bid);
-          NVM_WLOG("benefactor %d served corrupt fragment %zu of %s; "
-                   "falling over to parity",
-                   bid, pos, loc.key.ToString().c_str());
-        }
-      }
-      join = std::max(join, frag_clock.now());
+      sim::VirtualClock frag_clock(round_start);
+      int64_t ready_at = 0;
+      const Status s = ReadRun(frag_clock, loc.benefactors[pos],
+                               {&loc.key, 1}, {&dst, 1}, {&ready_at, 1});
+      SettleFragment(frag_clock, loc, pos, s, ready_at, stripe);
     }
-    clock.AdvanceTo(join);
-    round_start = join;
+    clock.AdvanceTo(stripe.settled);
   }
-  if (saw_corrupt) {
+  if (stripe.saw_corrupt) {
     // The quarantine punched a hole this cached location still names.
     InvalidateLocation(id, chunk_index);
   }
-  if (good < k) return last;
+  if (stripe.good < k) return stripe.last;
 
-  if (std::all_of(have.begin(), have.begin() + k,
+  if (std::all_of(stripe.have.begin(), stripe.have.begin() + k,
                   [](char h) { return h != 0; })) {
     return OkStatus();
   }
@@ -261,29 +263,31 @@ Status StoreClient::ReadStripe(sim::VirtualClock& clock, FileId id,
   clock.Advance(cfg.ec_encode_ns(cfg.chunk_bytes));
   std::vector<std::vector<uint8_t>> frags(nf);
   for (size_t pos = 0; pos < nf; ++pos) {
-    if (!have[pos]) continue;
+    if (!stripe.have[pos]) continue;
     if (pos < k) {
       const auto slice = out.subspan(pos * fb, fb);
       frags[pos].assign(slice.begin(), slice.end());
     } else {
-      frags[pos] = std::move(parity[pos - k]);
+      frags[pos] = std::move(stripe.parity[pos - k]);
     }
   }
   ErasureCodec codec(cfg.ec_k, cfg.ec_m);
   NVM_CHECK(codec.Reconstruct(frags),
             "k fragments must reconstruct the stripe");
   for (size_t pos = 0; pos < k; ++pos) {
-    if (!have[pos]) std::memcpy(out.data() + pos * fb, frags[pos].data(), fb);
+    if (!stripe.have[pos]) {
+      std::memcpy(out.data() + pos * fb, frags[pos].data(), fb);
+    }
   }
   return OkStatus();
 }
 
-Status StoreClient::ReadRun(sim::VirtualClock& clock,
-                            const BenefactorRun& run,
-                            std::span<const ReadLocation> locs,
-                            std::span<ChunkFetch> fetches) {
+Status StoreClient::ReadRun(sim::VirtualClock& clock, int benefactor,
+                            std::span<const ChunkKey> keys,
+                            std::span<const std::span<uint8_t>> outs,
+                            std::span<int64_t> ready_at) {
   const StoreConfig& cfg = manager_.config();
-  Benefactor* b = manager_.benefactor(run.benefactor);
+  Benefactor* b = manager_.benefactor(benefactor);
   NVM_CHECK(b != nullptr);
   run_rpcs_.Add(1);
 
@@ -291,17 +295,7 @@ Status StoreClient::ReadRun(sim::VirtualClock& clock,
   cluster_.network().Transfer(clock, local_node_, b->node_id(),
                               cfg.meta_request_bytes);
 
-  // Each chunk is copied straight into its fetch's destination.
-  std::vector<ChunkKey> keys;
-  std::vector<std::span<uint8_t>> outs;
-  keys.reserve(run.items.size());
-  outs.reserve(run.items.size());
-  for (size_t idx : run.items) {
-    keys.push_back(locs[idx].key);
-    outs.push_back(fetches[idx].out);
-  }
-
-  // The reply is one stream: each chunk is pushed as soon as it leaves the
+  // The reply is one stream: each item is pushed as soon as it leaves the
   // device and rides back-to-back behind its predecessor on the NICs.
   net::StreamTransfer reply(cluster_.network(), b->node_id(), local_node_);
   size_t next = 0;
@@ -309,16 +303,11 @@ Status StoreClient::ReadRun(sim::VirtualClock& clock,
   Status streamed = b->ReadChunkRun(
       clock, keys, outs,
       [&](const ChunkRunItem& item) -> Status {
-        ChunkFetch& f = fetches[run.items[next]];
-        ++next;
-        if (item.sparse) {
-          // A hole costs only the "no such chunk" marker in the stream.
-          f.ready_at = reply.Push(item.ready_at, cfg.meta_response_bytes);
-        } else {
-          f.ready_at = reply.Push(item.ready_at, cfg.chunk_bytes);
-          data_bytes += cfg.chunk_bytes;
-        }
-        f.status = OkStatus();
+        const uint64_t bytes = outs[next].size();
+        // A hole costs only the "no such chunk" marker in the stream.
+        ready_at[next++] = reply.Push(
+            item.ready_at, item.sparse ? cfg.meta_response_bytes : bytes);
+        if (!item.sparse) data_bytes += bytes;
         return OkStatus();
       },
       tenant_);
@@ -343,6 +332,8 @@ Status StoreClient::ReadChunksInner(sim::VirtualClock& clock, FileId id,
                                     std::span<ChunkFetch> fetches) {
   if (fetches.empty()) return OkStatus();
   const StoreConfig& cfg = manager_.config();
+  const size_t k = cfg.ec_k;
+  const uint64_t fb = cfg.ec_frag_bytes();
   uint32_t lo = fetches[0].index;
   uint32_t hi = fetches[0].index;
   for (const ChunkFetch& f : fetches) {
@@ -360,12 +351,26 @@ Status StoreClient::ReadChunksInner(sim::VirtualClock& clock, FileId id,
   // distinct benefactors overlap, and shared NICs/devices serialise
   // naturally through their modelled resources.  A chunk beyond EOF takes
   // the per-chunk path, which reports the usual per-chunk error, and so
-  // does every erasure-coded chunk: a stripe scatters it across k+m
-  // benefactors, so there is no primary holder to stream a run from.
+  // does a stripe missing a data fragment (a hole, or a lost stripe): its
+  // degraded rounds start from parity straight away.
   std::vector<ReadLocation> locs(fetches.size());
+  std::vector<StripeRead> stripes;
   for (size_t i = 0; i < fetches.size(); ++i) {
     const uint32_t at = fetches[i].index - lo;
-    if (!cfg.ec() && at < span.size() && !span[at].ec) locs[i] = span[at];
+    if (at < span.size()) {
+      const ReadLocation& loc = span[at];
+      if (!loc.ec) {
+        locs[i] = loc;
+      } else if (loc.benefactors.size() == cfg.ec_fragments() &&
+                 std::all_of(loc.benefactors.begin(),
+                             loc.benefactors.begin() + k,
+                             [](int b) { return b >= 0; })) {
+        if (stripes.empty()) stripes.resize(fetches.size());
+        stripes[i] = StripeRead(cfg);
+        stripes[i].settled = t0;
+        locs[i] = loc;
+      }
+    }
     if (!locs[i].benefactors.empty()) continue;
     sim::VirtualClock detached(t0);
     fetches[i].status =
@@ -373,21 +378,53 @@ Status StoreClient::ReadChunksInner(sim::VirtualClock& clock, FileId id,
     fetches[i].ready_at = detached.now();
   }
 
-  // One streamed run per primary benefactor (split at max_run_chunks),
-  // each on its own clock branched at the post-lookup time.
+  // One streamed run per benefactor (split at max_run_chunks) — a
+  // replicated chunk's primary, each data-fragment holder of a stripe —
+  // each on its own clock branched at the post-lookup time.  A fragment
+  // lands straight in its slice of the chunk's buffer.
+  std::vector<ChunkKey> keys;
+  std::vector<std::span<uint8_t>> outs;
+  std::vector<int64_t> ready;
   for (const BenefactorRun& run :
-       Manager::GroupByPrimaryBenefactor(locs, cfg.max_run_chunks)) {
+       Manager::GroupReadsByBenefactor(locs, k, cfg.max_run_chunks)) {
     sim::VirtualClock run_clock(t0);
-    if (run.items.size() == 1) {
-      // A run of one is the failover path's first attempt: a failure
-      // moves on to the next replica, with nothing to discard.
-      ChunkFetch& f = fetches[run.items.front()];
+    const size_t first = run.items.front();
+    if (run.items.size() == 1 && !locs[first].ec) {
+      // A replica's run of one is the failover path's first attempt: a
+      // failure moves on to the next replica, with nothing to discard.
+      ChunkFetch& f = fetches[first];
       f.status = ReadFailover(run_clock, id, f.index, f.out);
       f.ready_at = run_clock.now();
       continue;
     }
-    Status s = ReadRun(run_clock, run, locs, fetches);
-    if (s.ok()) continue;
+    keys.clear();
+    outs.clear();
+    for (size_t idx : run.items) {
+      keys.push_back(locs[idx].key);
+      outs.push_back(
+          locs[idx].ec
+              ? fetches[idx].out.subspan(
+                    FragmentPos(locs[idx].benefactors, run.benefactor) * fb,
+                    fb)
+              : fetches[idx].out);
+    }
+    ready.assign(run.items.size(), 0);
+    const Status s = ReadRun(run_clock, run.benefactor, keys, outs, ready);
+    if (s.ok() || run.items.size() == 1) {
+      // A fragment's run of one is its fetch in its stripe's first round.
+      for (size_t n = 0; n < run.items.size(); ++n) {
+        const size_t idx = run.items[n];
+        if (locs[idx].ec) {
+          SettleFragment(run_clock, locs[idx],
+                         FragmentPos(locs[idx].benefactors, run.benefactor),
+                         s, ready[n], stripes[idx]);
+        } else {
+          fetches[idx].status = OkStatus();
+          fetches[idx].ready_at = ready[n];
+        }
+      }
+      continue;
+    }
     if (s.code() == ErrorCode::kUnavailable) {
       manager_.MarkDead(run.benefactor);
       NVM_WLOG(
@@ -395,166 +432,49 @@ Status StoreClient::ReadChunksInner(sim::VirtualClock& clock, FileId id,
           "and falling back to per-chunk reads",
           run.benefactor, run.items.size());
     }
-    // The run failed as a whole: nothing it streamed counts.  Re-read every
-    // chunk through the per-chunk path, which refreshes stale locations and
-    // falls over to surviving replicas.
+    // The run failed as a whole: nothing it streamed counts.  A replicated
+    // chunk is re-read through the per-chunk path, which refreshes stale
+    // locations and falls over to surviving replicas.  A fragment stays
+    // untried: its stripe's degraded rounds re-read it in a run of its own
+    // once the failed run is over, so only a fragment that really fails
+    // sends its stripe to parity.
     for (size_t idx : run.items) {
+      if (locs[idx].ec) {
+        stripes[idx].settled =
+            std::max(stripes[idx].settled, run_clock.now());
+        continue;
+      }
       sim::VirtualClock fallback(t0);
       fetches[idx].status =
           ReadFailover(fallback, id, fetches[idx].index, fetches[idx].out);
       fetches[idx].ready_at = fallback.now();
     }
   }
-  return OkStatus();
-}
 
-Status StoreClient::WriteStripe(sim::VirtualClock& clock, FileId id,
-                                uint32_t chunk_index, const Bitmap& dirty_pages,
-                                std::span<const uint8_t> chunk_image) {
-  const StoreConfig& cfg = manager_.config();
-  const size_t k = cfg.ec_k;
-  const size_t nf = cfg.ec_fragments();
-  const uint64_t fb = cfg.ec_frag_bytes();
-
-  // Full-stripe discipline: fragments are rewritten whole, so a partial-
-  // dirty flush first reads the chunk's current bytes (degraded-capable)
-  // and overlays the dirty pages — the classic erasure read-modify-write
-  // penalty, paid serially on the writer's clock.
-  std::unique_ptr<uint8_t[]> merged;
-  std::span<const uint8_t> full = chunk_image;
-  if (dirty_pages.PopCount() < cfg.pages_per_chunk()) {
-    merged = std::make_unique_for_overwrite<uint8_t[]>(cfg.chunk_bytes);
-    NVM_RETURN_IF_ERROR(ReadFailover(clock, id, chunk_index,
-                                     {merged.get(), cfg.chunk_bytes}));
-    dirty_pages.ForEachSet([&](size_t p) {
-      std::memcpy(merged.get() + p * cfg.page_bytes,
-                  chunk_image.data() + p * cfg.page_bytes, cfg.page_bytes);
-    });
-    full = {merged.get(), cfg.chunk_bytes};
-  }
-
-  // Encode k data + m parity fragments (the matrix math is real; the CPU
-  // cost is one chunk through the encode engine) and checksum each
-  // fragment — the positional checksums are what degraded reads and repair
-  // verify survivors against.  Data fragments are views of the image
-  // itself; only parity is materialised.  The data fragments tile the
-  // image in order, so the full-image checksum follows from theirs
-  // (Crc32cCombine) without hashing the image again; the modelled charge
-  // still covers the image and every fragment.
-  ErasureCodec codec(cfg.ec_k, cfg.ec_m);
-  std::vector<std::span<const uint8_t>> frags = codec.DataFragments(full);
-  const std::vector<std::vector<uint8_t>> parity = codec.EncodeParity(frags);
-  frags.insert(frags.end(), parity.begin(), parity.end());
-  clock.Advance(cfg.ec_encode_ns(cfg.chunk_bytes));
-  const bool with_crc = cfg.integrity();
-  uint32_t crc = 0;
-  std::vector<uint32_t> frag_crcs;
-  if (with_crc) {
-    frag_crcs.reserve(nf);
-    for (std::span<const uint8_t> f : frags) {
-      frag_crcs.push_back(Crc32c(f.data(), f.size()));
+  // A stripe whose k data fragments all arrived is done; one left short
+  // continues with the per-stripe degraded rounds from the moment its
+  // last fragment settled, then with a fresh lookup.
+  for (size_t i = 0; i < stripes.size(); ++i) {
+    if (!locs[i].ec) continue;
+    StripeRead& stripe = stripes[i];
+    ChunkFetch& f = fetches[i];
+    sim::VirtualClock rounds(stripe.settled);
+    f.status = ReadStripe(rounds, id, f.index, locs[i], f.out, stripe);
+    if (!f.status.ok()) {
+      InvalidateLocation(id, f.index);
+      f.status = ReadFailover(rounds, id, f.index, f.out, /*refresh=*/true);
     }
-    for (size_t i = 0; i < k; ++i) crc = Crc32cCombine(crc, frag_crcs[i], fb);
-    clock.Advance(cfg.checksum_ns(cfg.chunk_bytes) +
-                  cfg.checksum_ns(nf * fb));
-  }
-
-  ChargeMetaRoundTrip(clock);
-  NVM_ASSIGN_OR_RETURN(WriteLocation loc,
-                       manager_.PrepareWrite(clock, id, chunk_index));
-  NVM_CHECK(loc.ec, "erasure-mode store prepared a replicate write");
-  NVM_CHECK(loc.benefactors.size() == nf);
-
-  // Each live fragment is written on its own clock forked at the post-
-  // prepare time; the writer joins at the max, so a stripe write costs
-  // max(fragment times), not their sum.
-  const int64_t t0 = clock.now();
-  int64_t done = t0;
-  size_t good = 0;
-  uint64_t parity_bytes = 0;
-  Status last = Unavailable("no fragments written");
-  for (size_t pos = 0; pos < nf; ++pos) {
-    const int bid = loc.benefactors[pos];
-    if (bid < 0) continue;  // hole: already the repair queue's business
-    Benefactor* b = manager_.benefactor(bid);
-    NVM_CHECK(b != nullptr);
-    sim::VirtualClock frag_clock(t0);
-    b->AdmitTransfer(frag_clock, tenant_, fb, /*is_write=*/true,
-                     fb + cfg.meta_request_bytes);
-    cluster_.network().Transfer(frag_clock, local_node_, b->node_id(),
-                                fb + cfg.meta_request_bytes);
-    Status s = b->WriteFragment(frag_clock, loc.key, frags[pos],
-                                with_crc ? &frag_crcs[pos] : nullptr,
-                                tenant_);
-    if (s.ok()) {
-      cluster_.network().Transfer(frag_clock, b->node_id(), local_node_,
-                                  cfg.meta_response_bytes);
-      ++good;
-      bytes_flushed_.Add(fb);
-      if (pos >= k) parity_bytes += fb;
-      done = std::max(done, frag_clock.now());
-    } else {
-      last = s;
-      if (s.code() == ErrorCode::kUnavailable) {
-        manager_.MarkDead(bid);
-        NVM_WLOG("benefactor %d unavailable writing fragment %zu of %s; "
-                 "continuing with surviving fragments",
-                 bid, pos, loc.key.ToString().c_str());
-      }
-    }
-  }
-  clock.AdvanceTo(done);
-
-  // A stripe that reached at least k fragments is reconstructible: commit
-  // its checksums.  Below k the write failed — the completion records no
-  // checksum, so recovery rolls the uncommitted stripe back rather than
-  // ever assembling mixed-generation fragments.
-  const bool committed = good >= k;
-  manager_.CompleteWrite(
-      clock, loc.key, with_crc && committed ? &crc : nullptr,
-      with_crc && committed ? std::span<const uint32_t>(frag_crcs)
-                            : std::span<const uint32_t>());
-  if (!committed) {
-    InvalidateLocation(id, chunk_index);
-    return last;
-  }
-  manager_.NoteEcParityBytes(parity_bytes);
-  if (good < nf) {
-    degraded_writes_.Add(1);
-    manager_.ReportDegraded(loc.key, clock.now());
-  }
-  {
-    std::lock_guard<std::mutex> lock(loc_mutex_);
-    loc_cache_[LocKey{id, chunk_index}] =
-        ReadLocation{loc.key, loc.benefactors, /*ec=*/true};
+    f.ready_at = rounds.now();
   }
   return OkStatus();
 }
 
-Status StoreClient::WriteRun(sim::VirtualClock& clock,
-                             const BenefactorRun& run,
-                             std::span<const WriteLocation> locs,
-                             std::span<const ChunkWrite> writes,
-                             std::span<const size_t> active,
-                             std::span<const std::optional<uint32_t>> crcs,
-                             std::span<uint32_t> stored_crcs) {
+Status StoreClient::WriteRun(sim::VirtualClock& clock, int benefactor,
+                             std::span<const ChunkWriteItem> items) {
   const StoreConfig& cfg = manager_.config();
-  Benefactor* b = manager_.benefactor(run.benefactor);
+  Benefactor* b = manager_.benefactor(benefactor);
   NVM_CHECK(b != nullptr);
   write_run_rpcs_.Add(1);
-
-  std::vector<ChunkWriteItem> items;
-  items.reserve(run.items.size());
-  for (size_t j : run.items) {
-    const ChunkWrite& w = writes[active[j]];
-    ChunkWriteItem item = MakeWriteItem(
-        locs[j].key, *w.dirty, w.image,
-        !crcs.empty() && crcs[j] ? &*crcs[j] : nullptr,
-        stored_crcs.empty() ? nullptr : &stored_crcs[j]);
-    item.needs_clone = locs[j].needs_clone;
-    item.clone_from = locs[j].clone_from;
-    items.push_back(item);
-  }
 
   // The request is one stream: the first payload also carries the run
   // header; clone instructions ride as their own control messages.  Each
@@ -597,6 +517,91 @@ Status StoreClient::WriteChunks(sim::VirtualClock& clock, FileId id,
   return s;
 }
 
+std::vector<StoreClient::EncodedStripe> StoreClient::EncodeStripes(
+    sim::VirtualClock& clock, FileId id, std::span<ChunkWrite> writes,
+    std::vector<size_t>& active, std::vector<std::optional<uint32_t>>& crcs,
+    std::vector<uint32_t>& frag_crcs) {
+  const StoreConfig& cfg = manager_.config();
+  const size_t k = cfg.ec_k;
+  const size_t nf = cfg.ec_fragments();
+  const uint64_t fb = cfg.ec_frag_bytes();
+
+  // Full-stripe discipline: fragments are rewritten whole, so a stripe
+  // whose image is not wholly known first reads the chunk's current bytes
+  // (degraded-capable) and overlays the dirty pages — the erasure
+  // read-modify-write penalty.  One batched read fetches every such stripe
+  // of the window; an image whose every page is valid (dirty, or clean
+  // and cached) needs no fetch.
+  std::vector<EncodedStripe> fetched(active.size());
+  std::vector<ChunkFetch> fetches;
+  std::vector<size_t> fetched_at;  // window position of each fetch
+  for (size_t j = 0; j < active.size(); ++j) {
+    const ChunkWrite& w = writes[active[j]];
+    if (w.dirty->All() || (w.valid != nullptr && w.valid->All())) continue;
+    fetched[j].merged =
+        std::make_unique_for_overwrite<uint8_t[]>(cfg.chunk_bytes);
+    fetches.push_back(
+        ChunkFetch{w.index, {fetched[j].merged.get(), cfg.chunk_bytes}});
+    fetched_at.push_back(j);
+  }
+  if (!fetches.empty()) {
+    const Status looked_up = ReadChunksInner(clock, id, fetches);
+    int64_t arrived = clock.now();
+    for (const ChunkFetch& f : fetches) {
+      if (looked_up.ok()) arrived = std::max(arrived, f.ready_at);
+    }
+    clock.AdvanceTo(arrived);
+    for (size_t n = 0; n < fetches.size(); ++n) {
+      ChunkWrite& w = writes[active[fetched_at[n]]];
+      // A stripe whose current bytes are unknown is not written.
+      w.status = looked_up.ok() ? fetches[n].status : looked_up;
+      w.ready_at = clock.now();
+      w.dirty->ForEachSet([&](size_t p) {
+        std::memcpy(fetched[fetched_at[n]].merged.get() + p * cfg.page_bytes,
+                    w.image.data() + p * cfg.page_bytes, cfg.page_bytes);
+      });
+    }
+  }
+
+  // Encode k data + m parity fragments per stripe (the matrix math is
+  // real; the CPU cost is one chunk through the encode engine) and
+  // checksum each fragment — the positional checksums are what degraded
+  // reads and repair verify survivors against.  Data fragments are views
+  // of the image itself; only parity is materialised.  The data fragments
+  // tile the image in order, so the full-image checksum follows from
+  // theirs (Crc32cCombine) without hashing the image again; the modelled
+  // charge still covers the image and every fragment.
+  const bool with_crc = cfg.integrity();
+  std::vector<EncodedStripe> stripes;
+  stripes.reserve(active.size());
+  ErasureCodec codec(cfg.ec_k, cfg.ec_m);
+  for (size_t j = 0; j < active.size(); ++j) {
+    if (!writes[active[j]].status.ok()) continue;  // its fetch failed
+    EncodedStripe& st = stripes.emplace_back(std::move(fetched[j]));
+    active[stripes.size() - 1] = active[j];
+    const std::span<const uint8_t> full =
+        st.merged ? std::span<const uint8_t>(st.merged.get(), cfg.chunk_bytes)
+                  : writes[active[j]].image;
+    st.frags = codec.DataFragments(full);
+    st.parity = codec.EncodeParity(st.frags);
+    st.frags.insert(st.frags.end(), st.parity.begin(), st.parity.end());
+    clock.Advance(cfg.ec_encode_ns(cfg.chunk_bytes));
+    if (!with_crc) continue;
+    const size_t first = frag_crcs.size();
+    uint32_t crc = 0;
+    for (std::span<const uint8_t> f : st.frags) {
+      frag_crcs.push_back(Crc32c(f.data(), f.size()));
+    }
+    for (size_t i = 0; i < k; ++i) {
+      crc = Crc32cCombine(crc, frag_crcs[first + i], fb);
+    }
+    crcs.push_back(crc);
+    clock.Advance(cfg.checksum_ns(cfg.chunk_bytes) + cfg.checksum_ns(nf * fb));
+  }
+  active.resize(stripes.size());
+  return stripes;
+}
+
 Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
                                      std::span<ChunkWrite> writes) {
   if (writes.empty()) return OkStatus();
@@ -614,26 +619,23 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
   }
   if (active.empty()) return OkStatus();
 
-  // Erasure-mode writes are full-stripe fan-outs with no per-benefactor
-  // run to stream: each chunk goes through the stripe path serially.
-  if (cfg.ec()) {
-    for (size_t i : active) {
-      ChunkWrite& w = writes[i];
-      w.status = WriteStripe(clock, id, w.index, *w.dirty, w.image);
-      w.ready_at = clock.now();
-    }
-    return OkStatus();
-  }
-
   // Flush-time checksums for the whole window, charged to the writer
-  // before the metadata round-trip.  Only a full-image write consumes its
-  // checksum — replicas store it verbatim — so a partial item skips the
-  // host hash (and carries no value): its authority is the CRC the
-  // replica stores after merging, and the unfaulted pages of the image
-  // are unspecified.  Every item is charged.
+  // before the metadata round-trip.  A replicated item consumes its
+  // checksum only on a full-image write — replicas store it verbatim — so
+  // a partial item skips the host hash (and carries no value): its
+  // authority is the CRC the replica stores after merging, and the
+  // unfaulted pages of the image are unspecified.  Every item is charged.
+  // An erasure-coded window instead encodes every stripe up front, with
+  // its fragment checksums and the image checksum they combine into.
   const bool with_crc = cfg.integrity();
-  std::vector<std::optional<uint32_t>> crcs(with_crc ? active.size() : 0);
-  if (with_crc) {
+  std::vector<std::optional<uint32_t>> crcs;
+  std::vector<EncodedStripe> stripes;
+  std::vector<uint32_t> frag_crcs;  // ec_fragments() per stripe
+  if (cfg.ec()) {
+    stripes = EncodeStripes(clock, id, writes, active, crcs, frag_crcs);
+    if (active.empty()) return OkStatus();
+  } else if (with_crc) {
+    crcs.resize(active.size());
     for (size_t j = 0; j < active.size(); ++j) {
       const ChunkWrite& w = writes[active[j]];
       if (w.dirty->All()) crcs[j] = Crc32c(w.image.data(), cfg.chunk_bytes);
@@ -652,23 +654,40 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
     return prepared.status();
   }
   const std::vector<WriteLocation>& locs = *prepared;  // parallel to active
+  NVM_CHECK(std::all_of(
+                locs.begin(), locs.end(),
+                [&](const WriteLocation& l) { return l.ec == cfg.ec(); }),
+            "window prepared outside the store's redundancy mode");
   const int64_t t0 = clock.now();
 
-  // Per-item replica outcomes across all runs.
-  std::vector<size_t> ok_replicas(active.size(), 0);
+  // Per-item outcomes across all runs: the replicas (or fragments) that
+  // landed, and when.
+  std::vector<size_t> landed_count(active.size(), 0);
+  std::vector<uint64_t> parity_bytes(active.size(), 0);
   std::vector<char> corrupt_replica(active.size(), 0);
   std::vector<Status> last_err(active.size(), OkStatus());
   std::vector<int64_t> done(active.size(), t0);
-  // Authoritative checksums to record at CompleteWrites: per item, the CRC
-  // the first successful replica actually stored (the client's value on a
+  // Authoritative checksums to record at CompleteWrites.  A stripe's is
+  // the client's image checksum.  A replicated item's is the CRC the
+  // first successful replica actually stored (the client's value on a
   // full-image write; on a partial-dirty merge it can legitimately differ
   // from the client image when clean pages were never faulted in).
-  std::vector<uint32_t> authority(crcs.size(), 0);
-  std::vector<uint32_t> stored(crcs.size(), 0);
-  const auto landed = [&](size_t j, int64_t at) {
-    if (ok_replicas[j] == 0 && with_crc) authority[j] = stored[j];
-    ++ok_replicas[j];
-    bytes_flushed_.Add(writes[active[j]].dirty->PopCount() * cfg.page_bytes);
+  std::vector<uint32_t> authority(with_crc ? active.size() : 0, 0);
+  std::vector<uint32_t> stored(authority.size(), 0);
+  const auto landed = [&](size_t j, int bid, int64_t at) {
+    const WriteLocation& loc = locs[j];
+    if (landed_count[j] == 0 && with_crc) {
+      authority[j] = loc.ec ? *crcs[j] : stored[j];
+    }
+    ++landed_count[j];
+    if (loc.ec) {
+      bytes_flushed_.Add(cfg.ec_frag_bytes());
+      if (FragmentPos(loc.benefactors, bid) >= cfg.ec_k) {
+        parity_bytes[j] += cfg.ec_frag_bytes();
+      }
+    } else {
+      bytes_flushed_.Add(writes[active[j]].dirty->PopCount() * cfg.page_bytes);
+    }
     done[j] = std::max(done[j], at);
   };
   const auto failed = [&](size_t j, int bid, const Status& s,
@@ -691,20 +710,50 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
     last_err[j] = s;
   };
 
+  // What item `j` sends `bid`: its dirty pages (cloning first when the
+  // chunk is shared with a checkpoint), or the whole fragment of the
+  // stripe that benefactor holds.
+  Bitmap fragment_pages(cfg.ec_frag_bytes() / cfg.page_bytes);
+  fragment_pages.SetAll();
+  std::vector<ChunkWriteItem> items;
+  const auto write_run = [&](sim::VirtualClock& run_clock, int bid,
+                             std::span<const size_t> run_items) {
+    items.clear();
+    for (size_t j : run_items) {
+      const WriteLocation& loc = locs[j];
+      if (loc.ec) {
+        const size_t pos = FragmentPos(loc.benefactors, bid);
+        items.push_back(MakeWriteItem(
+            loc.key, fragment_pages, stripes[j].frags[pos],
+            with_crc ? &frag_crcs[j * cfg.ec_fragments() + pos] : nullptr));
+        continue;
+      }
+      const ChunkWrite& w = writes[active[j]];
+      ChunkWriteItem item = MakeWriteItem(
+          loc.key, *w.dirty, w.image,
+          with_crc && crcs[j] ? &*crcs[j] : nullptr,
+          with_crc ? &stored[j] : nullptr);
+      item.needs_clone = loc.needs_clone;
+      item.clone_from = loc.clone_from;
+      items.push_back(item);
+    }
+    return WriteRun(run_clock, bid, items);
+  };
+
   // One streamed run per benefactor (split at max_run_chunks) — every
-  // replica holder gets its own run — each on a clock forked at the
-  // post-prepare time, so runs (and with them the replicas of each chunk)
-  // overlap.
+  // replica or fragment holder gets its own run — each on a clock forked
+  // at the post-prepare time, so runs (and with them the replicas or
+  // fragments of each chunk) overlap.
   for (const BenefactorRun& run :
        Manager::GroupByBenefactor(locs, cfg.max_run_chunks)) {
     sim::VirtualClock run_clock(t0);
-    Status s = WriteRun(run_clock, run, locs, writes, active, crcs, stored);
+    Status s = write_run(run_clock, run.benefactor, run.items);
     if (s.ok()) {
-      for (size_t j : run.items) landed(j, run_clock.now());
+      for (size_t j : run.items) landed(j, run.benefactor, run_clock.now());
       continue;
     }
     if (run.items.size() == 1) {
-      // A run of one is this replica's only attempt.
+      // A run of one is this replica's (or fragment's) only attempt.
       failed(run.items.front(), run.benefactor, s, run_clock);
       continue;
     }
@@ -717,33 +766,39 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
     }
     // The run failed as a whole: nothing it streamed counts.  Retry every
     // item in a run of its own against the same benefactor (its other
-    // replicas are covered by their own runs); a dead benefactor fails
-    // fast here.
+    // replicas and fragments are covered by their own runs); a dead
+    // benefactor fails fast here.
     for (size_t j : run.items) {
       sim::VirtualClock fallback(t0);
-      Status rs = WriteRun(fallback, BenefactorRun{run.benefactor, {j}}, locs,
-                           writes, active, crcs, stored);
+      Status rs = write_run(fallback, run.benefactor, {&j, 1});
       if (rs.ok()) {
-        landed(j, fallback.now());
+        landed(j, run.benefactor, fallback.now());
       } else {
         failed(j, run.benefactor, rs, fallback);
       }
     }
   }
 
-  // Every replica attempt is over: join, then close the prepared window in
-  // one lock pass (lifts the repair fences, moves the epochs; with a WAL,
-  // logs the completion record that attests the writes) before reporting
-  // any degraded chunks to the repair queue.  Checksums are recorded only
-  // for chunks that reached at least one replica.
+  // Every attempt is over: join, then close the prepared window in one
+  // lock pass (lifts the repair fences, moves the epochs; with a WAL, logs
+  // the completion record that attests the writes) before reporting any
+  // degraded chunks to the repair queue.  A replicated chunk is written
+  // once a replica holds it; a stripe once k fragments do — below that it
+  // is not reconstructible, so its completion records no checksum and
+  // recovery rolls the uncommitted stripe back rather than ever assembling
+  // mixed-generation fragments.  Checksums are recorded only for chunks
+  // that were written.
   int64_t joined = t0;
   std::vector<char> wrote(active.size(), 0);
+  uint64_t parity_written = 0;
   for (size_t j = 0; j < active.size(); ++j) {
-    wrote[j] = ok_replicas[j] > 0 ? 1 : 0;
+    wrote[j] = landed_count[j] >= (locs[j].ec ? cfg.ec_k : 1) ? 1 : 0;
+    if (wrote[j]) parity_written += parity_bytes[j];
     joined = std::max(joined, done[j]);
   }
   clock.AdvanceTo(joined);
-  manager_.CompleteWrites(clock, locs, authority, wrote);
+  manager_.CompleteWrites(clock, locs, authority, wrote, frag_crcs);
+  if (parity_written > 0) manager_.NoteEcParityBytes(parity_written);
   // A logged completion is part of the write: nothing in the window is
   // done before its record is durable.
   const bool logged = clock.now() > joined;
@@ -752,11 +807,15 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
   for (size_t j = 0; j < active.size(); ++j) {
     ChunkWrite& w = writes[active[j]];
     const WriteLocation& loc = locs[j];
-    if (ok_replicas[j] == 0) {
-      w.status = last_err[j].ok() ? Unavailable("no replicas") : last_err[j];
+    if (!wrote[j]) {
+      w.status = !last_err[j].ok() ? last_err[j]
+                 : loc.ec          ? Unavailable("fewer than k fragments")
+                                   : Unavailable("no replicas");
       InvalidateLocation(id, w.index);
     } else {
-      if (ok_replicas[j] < loc.benefactors.size()) {
+      // Holes count as missing members: a stripe short of a fragment is
+      // as degraded as a chunk short of a replica.
+      if (landed_count[j] < loc.benefactors.size()) {
         degraded_writes_.Add(1);
         // Degraded at the time this chunk's surviving writes completed.
         manager_.ReportDegraded(loc.key, done[j]);
@@ -767,11 +826,11 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
         // than let it hit the deleted copy and see sparse zeros.
         InvalidateLocation(id, w.index);
       } else {
-        // At least one replica holds the data: NOW the read cache may
-        // point at the new chunk version.
+        // The data is readable: NOW the read cache may point at the new
+        // chunk version.
         std::lock_guard<std::mutex> lock(loc_mutex_);
         loc_cache_[LocKey{id, w.index}] =
-            ReadLocation{loc.key, loc.benefactors};
+            ReadLocation{loc.key, loc.benefactors, loc.ec};
       }
     }
     w.ready_at = logged ? clock.now() : done[j];

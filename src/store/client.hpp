@@ -8,6 +8,7 @@
 // manager and reads fall over to surviving replicas.
 #pragma once
 
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -56,10 +57,10 @@ class StoreClient {
 
   // --- data plane ---
   //
-  // Every replicated chunk moves inside a run RPC (Benefactor::ReadChunkRun
-  // / WriteChunkRun): one request header and one device queueing slot per
-  // run, at most config().max_run_chunks chunks long.  The single-chunk
-  // calls are batches of one.
+  // Every replica and every erasure fragment moves inside a run RPC
+  // (Benefactor::ReadChunkRun / WriteChunkRun): one request header and one
+  // device queueing slot per run, at most config().max_run_chunks items
+  // long.  The single-chunk calls are batches of one.
 
   // One element of a batched read.
   struct ChunkFetch {
@@ -71,21 +72,25 @@ class StoreClient {
 
   // Batched fetch of several chunks of one file.  The locations of the
   // whole index span are resolved with at most one metadata round-trip
-  // (LookupReadMany).  The resolved chunks are grouped by primary
-  // benefactor and each group is fetched with streamed ReadChunkRuns —
-  // chunks riding back-to-back on the wire (net::StreamTransfer).  Each
-  // run uses its own detached clock branched at the post-lookup time, so
-  // runs against distinct benefactors overlap; runs are issued in order of
-  // their first fetch (with max_run_chunks 1, in fetch order).  A chunk
-  // that fails is read again through the per-chunk failover path, which
-  // tries each replica in turn with a run of one; a run of several that
-  // fails (benefactor death mid-stream, a failed check) is discarded whole
-  // and every chunk of it takes that path from the post-lookup time.
-  // Erasure-coded chunks and chunks beyond EOF take the per-chunk path
-  // directly.  `clock` itself advances only past the metadata lookup;
-  // callers consume the per-chunk `ready_at` completion times.  Returns
-  // non-OK only if the batched lookup fails outright; per-chunk failures
-  // (EOF, dead replicas) land in fetches[i].status.
+  // (LookupReadMany).  The resolved chunks are grouped by the benefactors
+  // a healthy read touches — a replicated chunk's primary, the k data-
+  // fragment holders of an erasure stripe — and each group is fetched
+  // with streamed ReadChunkRuns, items riding back-to-back on the wire
+  // (net::StreamTransfer).  Each run uses its own detached clock branched
+  // at the post-lookup time, so runs against distinct benefactors
+  // overlap; runs are issued in order of their first fetch (with
+  // max_run_chunks 1, in fetch order).  A replicated chunk that fails is
+  // read again through the per-chunk failover path, which tries each
+  // replica in turn with a run of one; a run of several that fails
+  // (benefactor death mid-stream, a failed check) is discarded whole and
+  // every chunk of it takes that path from the post-lookup time.  A
+  // stripe left short of its k data fragments (a failed fragment, or a
+  // discarded run) continues with the per-stripe degraded rounds; a
+  // stripe missing a data fragment outright and a chunk beyond EOF take
+  // the per-chunk path directly.  `clock` itself advances only past the
+  // metadata lookup; callers consume the per-chunk `ready_at` completion
+  // times.  Returns non-OK only if the batched lookup fails outright;
+  // per-chunk failures (EOF, dead replicas) land in fetches[i].status.
   Status ReadChunks(sim::VirtualClock& clock, FileId id,
                     std::span<ChunkFetch> fetches);
   // Fetch a full chunk into `out` (sized chunk_bytes): a batch of one,
@@ -109,6 +114,10 @@ class StoreClient {
     uint32_t index = 0;
     const Bitmap* dirty = nullptr;       // pages to flush (may be all-set)
     std::span<const uint8_t> image;      // full chunk image, sized chunk_bytes
+    // Pages of `image` whose contents are known (null: only the dirty
+    // ones).  An erasure stripe whose image is wholly valid is encoded
+    // from it as is; otherwise its flush reads the current bytes first.
+    const Bitmap* valid = nullptr;
     Status status;                       // per-chunk outcome
     int64_t ready_at = 0;                // virtual completion time
   };
@@ -128,9 +137,15 @@ class StoreClient {
   // cache is updated only after a replica holds the data.  The caller
   // joins at the max, then the window's completion is recorded (with a
   // WAL, logged — and then every ready_at is that commit time).
-  // Erasure-coded stores write each chunk full-stripe, serially.  Returns
-  // non-OK only if the batched prepare fails outright; per-chunk outcomes
-  // land in writes[i].status.
+  // Erasure-coded stores write full stripes: the stripes whose images are
+  // not wholly valid are first read in one batched ReadChunks (the
+  // read-modify-write), every stripe is encoded and checksummed on the
+  // writer's clock, and the k+m fragments of the window then go out like
+  // replicas — one run per fragment holder after the one prepare.  A
+  // stripe that landed at least k fragments is a (possibly degraded)
+  // success; below k it failed, and its completion records no checksum.
+  // Returns non-OK only if the batched prepare fails outright; per-chunk
+  // outcomes land in writes[i].status.
   Status WriteChunks(sim::VirtualClock& clock, FileId id,
                      std::span<ChunkWrite> writes);
   // Flush the dirty pages of one cached chunk image: a batch of one.
@@ -180,7 +195,7 @@ class StoreClient {
   void ChargeMetaRoundTrip(sim::VirtualClock& clock);
   // Un-instrumented bodies of the public data-plane calls.  The public
   // wrappers record per-tenant end-to-end latency; internal re-entries
-  // (the EC read-modify-write) use the per-chunk path directly so a single
+  // (the EC read-modify-write) use the inner bodies directly so a single
   // logical operation is recorded exactly once.
   Status ReadChunksInner(sim::VirtualClock& clock, FileId id,
                          std::span<ChunkFetch> fetches);
@@ -198,50 +213,79 @@ class StoreClient {
                                                    bool refresh);
   void InvalidateLocation(FileId id, uint32_t chunk_index);
   // The per-chunk read path: replica failover.  Resolves the chunk (the
-  // cached location, a fresh one on the retry) and reads it with a run of
-  // one from each replica in turn until one serves it; an erasure stripe
-  // goes through ReadStripe.  Leaves `clock` at the chunk's arrival.
+  // cached location, a fresh one on the retry — or straight away with
+  // `refresh`) and reads it with a run of one from each replica in turn
+  // until one serves it; an erasure stripe goes through ReadStripe.
+  // Leaves `clock` at the chunk's arrival.
   Status ReadFailover(sim::VirtualClock& clock, FileId id,
-                      uint32_t chunk_index, std::span<uint8_t> out);
-  // One streamed ReadChunkRun against run.benefactor, which copies each
-  // chunk straight into the `out` of the fetch run.items names.
-  // All-or-nothing: on failure the caller must re-read every item of the
-  // run (whatever the run left in their destinations is superseded) — no
-  // fetched-bytes traffic is committed for a failed run.
-  Status ReadRun(sim::VirtualClock& clock, const BenefactorRun& run,
-                 std::span<const ReadLocation> locs,
-                 std::span<ChunkFetch> fetches);
-  // One streamed WriteChunkRun against run.benefactor covering the items
-  // named by run.items (indices into locs/active).  All-or-nothing: on
+                      uint32_t chunk_index, std::span<uint8_t> out,
+                      bool refresh = false);
+  // One streamed ReadChunkRun against `benefactor`: keys[i] is copied
+  // straight into outs[i] (a chunk or a fragment) and ready_at[i]
+  // receives its arrival time here.  All-or-nothing: on failure the
+  // caller must re-read every item of the run (whatever the run left in
+  // their destinations is superseded) — no fetched-bytes traffic is
+  // committed for a failed run.
+  Status ReadRun(sim::VirtualClock& clock, int benefactor,
+                 std::span<const ChunkKey> keys,
+                 std::span<const std::span<uint8_t>> outs,
+                 std::span<int64_t> ready_at);
+  // One streamed WriteChunkRun against `benefactor`.  All-or-nothing: on
   // failure the caller retries every item — nothing a failed run streamed
-  // counts.  `crcs` (parallel to locs/active; empty when integrity is off)
-  // carries the flush-time checksum of each full-image item and no value
-  // for a partial one.  `stored_crcs` (parallel to locs/active; empty when
-  // integrity is off) receives, for each item the run covers, the CRC
-  // this replica actually stored.
-  Status WriteRun(sim::VirtualClock& clock, const BenefactorRun& run,
-                  std::span<const WriteLocation> locs,
-                  std::span<const ChunkWrite> writes,
-                  std::span<const size_t> active,
-                  std::span<const std::optional<uint32_t>> crcs,
-                  std::span<uint32_t> stored_crcs);
-  // One read attempt against a resolved erasure stripe: the k data
-  // fragments are fetched in parallel (clocks forked at the issue time,
-  // caller joins at the max); any failure or hole falls over to parity
-  // fragments and reconstructs — a degraded read.  Fails only when fewer
-  // than k fragments of the stripe are readable.
+  // counts.
+  Status WriteRun(sim::VirtualClock& clock, int benefactor,
+                  std::span<const ChunkWriteItem> items);
+
+  // Progress of one erasure stripe read: the fragments in hand (data in
+  // the caller's buffer, parity in `parity`) and the positions tried.
+  struct StripeRead {
+    StripeRead() = default;
+    explicit StripeRead(const StoreConfig& cfg)
+        : have(cfg.ec_fragments(), 0),
+          tried(cfg.ec_fragments(), 0),
+          parity(cfg.ec_m),
+          last(Unavailable("fewer than k fragments readable")) {}
+    std::vector<char> have;
+    std::vector<char> tried;
+    std::vector<std::vector<uint8_t>> parity;
+    size_t good = 0;
+    bool saw_corrupt = false;
+    int64_t settled = 0;  // when the last requested fragment settled
+    Status last;          // the latest failure
+  };
+  // Record the outcome `s` of fetching fragment `pos` of `loc` (arrived at
+  // `ready_at` when OK): a dead holder is marked dead, a corrupt fragment
+  // reported for quarantine, both charged on `clock`.
+  void SettleFragment(sim::VirtualClock& clock, const ReadLocation& loc,
+                      size_t pos, const Status& s, int64_t ready_at,
+                      StripeRead& stripe);
+  // The per-stripe degraded rounds: until k fragments are in hand, fetch
+  // the next untried live fragments (data first, then parity) in
+  // parallel — runs of one on clocks forked at the round start, joined at
+  // the max — then reconstruct any missing data fragment, a degraded
+  // read.  Fails only when fewer than k fragments of the stripe are
+  // readable.
   Status ReadStripe(sim::VirtualClock& clock, FileId id, uint32_t chunk_index,
-                    const ReadLocation& loc, std::span<uint8_t> out);
-  // The erasure-coded write path: always full-stripe.  A partial-dirty
-  // flush first reads the chunk's current bytes (degraded-capable) and
-  // overlays the dirty pages — the classic EC read-modify-write penalty —
-  // then encodes k+m fragments and writes each on a forked clock.  A
-  // stripe that reached at least k fragments is a (possibly degraded)
-  // success; below k the write failed and the completion records no
-  // checksum (recovery rolls the uncommitted stripe back).
-  Status WriteStripe(sim::VirtualClock& clock, FileId id, uint32_t chunk_index,
-                     const Bitmap& dirty_pages,
-                     std::span<const uint8_t> chunk_image);
+                    const ReadLocation& loc, std::span<uint8_t> out,
+                    StripeRead& stripe);
+
+  // One stripe of an erasure-coded flush window, ready to send: k data
+  // fragments viewing the image (or `merged`, the read-modify-write
+  // result), then m parity fragments.
+  struct EncodedStripe {
+    std::unique_ptr<uint8_t[]> merged;
+    std::vector<std::vector<uint8_t>> parity;
+    std::vector<std::span<const uint8_t>> frags;
+  };
+  // Read-modify-write, encode and checksum the stripes of an erasure-
+  // coded window, charging `clock`.  Stripes whose fetch failed get that
+  // status and leave `active`; the result is parallel to what remains.
+  // With integrity on, each stripe's image checksum is appended to `crcs`
+  // and its positional fragment checksums to `frag_crcs`.
+  std::vector<EncodedStripe> EncodeStripes(
+      sim::VirtualClock& clock, FileId id, std::span<ChunkWrite> writes,
+      std::vector<size_t>& active, std::vector<std::optional<uint32_t>>& crcs,
+      std::vector<uint32_t>& frag_crcs);
 
   net::Cluster& cluster_;
   Manager& manager_;

@@ -36,15 +36,18 @@ void AddToRun(std::vector<BenefactorRun>& runs,
 
 }  // namespace
 
-std::vector<BenefactorRun> Manager::GroupByPrimaryBenefactor(
-    std::span<const ReadLocation> locs, size_t max_run) {
+std::vector<BenefactorRun> Manager::GroupReadsByBenefactor(
+    std::span<const ReadLocation> locs, size_t ec_k, size_t max_run) {
   std::vector<BenefactorRun> runs;
   std::unordered_map<int, size_t> open_run;  // benefactor id -> its run
   for (size_t i = 0; i < locs.size(); ++i) {
-    // Erasure-coded chunks never join run RPCs: every read touches k
-    // devices, so there is no single-benefactor run to coalesce into.
-    if (locs[i].benefactors.empty() || locs[i].ec) continue;
-    AddToRun(runs, open_run, locs[i].benefactors.front(), i, max_run);
+    const std::vector<int>& holders = locs[i].benefactors;
+    const size_t reads =
+        locs[i].ec ? std::min(ec_k, holders.size()) : std::min<size_t>(
+                                                          1, holders.size());
+    for (size_t p = 0; p < reads; ++p) {
+      if (holders[p] >= 0) AddToRun(runs, open_run, holders[p], i, max_run);
+    }
   }
   return runs;
 }
@@ -54,8 +57,9 @@ std::vector<BenefactorRun> Manager::GroupByBenefactor(
   std::vector<BenefactorRun> runs;
   std::unordered_map<int, size_t> open_run;  // benefactor id -> its run
   for (size_t i = 0; i < locs.size(); ++i) {
-    if (locs[i].ec) continue;  // EC chunks go through the stripe path
-    for (int b : locs[i].benefactors) AddToRun(runs, open_run, b, i, max_run);
+    for (int b : locs[i].benefactors) {
+      if (b >= 0) AddToRun(runs, open_run, b, i, max_run);
+    }
   }
   return runs;
 }
@@ -334,7 +338,13 @@ void Manager::CompleteWrite(sim::VirtualClock& clock, const ChunkKey& key,
 void Manager::CompleteWrites(sim::VirtualClock& clock,
                              std::span<const WriteLocation> locs,
                              std::span<const uint32_t> crcs,
-                             std::span<const char> ok) {
+                             std::span<const char> ok,
+                             std::span<const uint32_t> frag_crcs) {
+  const size_t nf = config_.ec_fragments();
+  const auto frags_of = [&](size_t i) {
+    return frag_crcs.empty() ? std::span<const uint32_t>()
+                             : frag_crcs.subspan(i * nf, nf);
+  };
   if (wal_ != nullptr) wal_->TriggerPoint(CrashPoint::kMidBatch);
   // Lock the whole involved shard set up front, in ascending index order
   // (the ChunkCache flush-window discipline), so the window completes in
@@ -364,15 +374,21 @@ void Manager::CompleteWrites(sim::VirtualClock& clock,
       auto cit = shards_[shard_of_loc[i]].chunks.find(locs[i].key);
       if (cit == shards_[shard_of_loc[i]].chunks.end()) continue;
       if (crc == nullptr && !cit->second->has_crc) continue;
-      rec.completions.push_back(WalCompletion{
-          locs[i].key, crc != nullptr, crc != nullptr ? *crc : 0});
+      WalCompletion done{locs[i].key, crc != nullptr,
+                         crc != nullptr ? *crc : 0};
+      if (crc != nullptr) {
+        const std::span<const uint32_t> frags = frags_of(i);
+        done.frag_crcs.assign(frags.begin(), frags.end());
+      }
+      rec.completions.push_back(std::move(done));
     }
     if (!rec.completions.empty()) LogAppend(clock, std::move(rec));
   }
   for (size_t i = 0; i < locs.size(); ++i) {
     const uint32_t* crc =
         !crcs.empty() && (ok.empty() || ok[i] != 0) ? &crcs[i] : nullptr;
-    CompleteWriteLocked(shards_[shard_of_loc[i]], locs[i].key, crc);
+    CompleteWriteLocked(shards_[shard_of_loc[i]], locs[i].key, crc,
+                        frags_of(i));
   }
 }
 
@@ -652,11 +668,11 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
   return plans;
 }
 
-Status Manager::CopyWholeChunk(sim::VirtualClock& clock, Benefactor& from,
-                               Benefactor& to, const ChunkKey& key,
-                               std::span<const uint8_t> image,
-                               const uint32_t* crc) {
-  Bitmap all_pages(config_.pages_per_chunk());
+Status Manager::CopyWholeBlob(sim::VirtualClock& clock, int from_node,
+                              Benefactor& to, const ChunkKey& key,
+                              std::span<const uint8_t> image,
+                              const uint32_t* crc) {
+  Bitmap all_pages(image.size() / config_.page_bytes);
   all_pages.SetAll();
   const ChunkWriteItem item = MakeWriteItem(key, all_pages, image, crc);
   // Admit before the wire so a repair storm queues behind the scheduler,
@@ -665,7 +681,7 @@ Status Manager::CopyWholeChunk(sim::VirtualClock& clock, Benefactor& from,
     sim::VirtualClock wire(at);
     to.AdmitTransfer(wire, kTenantMaintenance, bytes, /*is_write=*/true,
                      bytes);
-    cluster_.network().Transfer(wire, from.node_id(), to.node_id(), bytes);
+    cluster_.network().Transfer(wire, from_node, to.node_id(), bytes);
     return wire.now();
   };
   return to.WriteChunkRun(clock, {&item, 1}, send, kTenantMaintenance);
@@ -703,8 +719,8 @@ Manager::RepairOutcome Manager::ExecuteRepairPlan(sim::VirtualClock& clock,
       sim::VirtualClock fetch(start);
       std::vector<uint8_t> buf(fb);
       bool sparse = false;
-      Status s = b->ReadFragment(fetch, plan.key, buf, &sparse,
-                                 kTenantMaintenance);
+      Status s = b->ReadChunk(fetch, plan.key, buf, &sparse,
+                              kTenantMaintenance);
       if (s.code() == ErrorCode::kCorrupt) {
         // The survivor failed its own read verification: quarantine at
         // commit, try the next fragment.
@@ -754,13 +770,10 @@ Manager::RepairOutcome Manager::ExecuteRepairPlan(sim::VirtualClock& clock,
       bool ok = b != nullptr && b->alive();
       sim::VirtualClock copy(rebuilt);
       if (ok && any_data) {
-        b->AdmitTransfer(copy, kTenantMaintenance, fb, /*is_write=*/true, fb);
-        cluster_.network().Transfer(copy, manager_node_, b->node_id(), fb);
         const uint32_t* crc = plan.has_crc && plan.frag_crcs.size() == nf
                                   ? &plan.frag_crcs[pos]
                                   : nullptr;
-        ok = b->WriteFragment(copy, plan.key, frags[pos], crc,
-                              kTenantMaintenance)
+        ok = CopyWholeBlob(copy, manager_node_, *b, plan.key, frags[pos], crc)
                  .ok();
       }
       // An all-sparse stripe has no bytes to move: the reservation alone
@@ -819,8 +832,8 @@ Manager::RepairOutcome Manager::ExecuteRepairPlan(sim::VirtualClock& clock,
       // Benefactor-to-benefactor move; the manager never touches the data.
       // The verified source bytes carry the authoritative checksum, so the
       // target stores it without recomputing.
-      ok = CopyWholeChunk(copy, *BenefactorAt(src), *b, plan.key, buf,
-                          plan.has_crc ? &plan.crc : nullptr)
+      ok = CopyWholeBlob(copy, BenefactorAt(src)->node_id(), *b, plan.key, buf,
+                         plan.has_crc ? &plan.crc : nullptr)
                .ok();
     }
     // A sparse chunk has no bytes to move: the reservation alone makes the
@@ -1405,41 +1418,24 @@ StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
     if (dst < 0) {
       return OutOfSpace("no destination for chunk " + h->key.ToString());
     }
-    // Move the data benefactor-to-benefactor (read + network hop + write),
-    // like the paper's re-configuration path would.
+    // Move the blob (a replica or one fragment) benefactor-to-benefactor
+    // (read + network hop + write), like the paper's re-configuration path
+    // would; the migrated bytes keep their authoritative checksum.
     bool sparse = false;
-    if (ec) {
-      const size_t frag_pos = static_cast<size_t>(pos - current.begin());
-      std::vector<uint8_t> frag(move_bytes);
-      NVM_RETURN_IF_ERROR(leaving->ReadFragment(clock, h->key, frag,
-                                                &sparse, kTenantMaintenance));
-      if (!sparse) {
-        bens[static_cast<size_t>(dst)]->AdmitTransfer(
-            clock, kTenantMaintenance, move_bytes, /*is_write=*/true,
-            move_bytes);
-        cluster_.network().Transfer(clock, leaving->node_id(),
-                                    bens[static_cast<size_t>(dst)]->node_id(),
-                                    move_bytes);
-        // The migrated fragment keeps its authoritative checksum.
-        const uint32_t* crc =
-            h->has_crc && h->frag_crcs.size() == current.size()
-                ? &h->frag_crcs[frag_pos]
-                : nullptr;
-        NVM_RETURN_IF_ERROR(bens[static_cast<size_t>(dst)]->WriteFragment(
-            clock, h->key, frag, crc, kTenantMaintenance));
+    const std::span<uint8_t> blob(buf.data(), move_bytes);
+    NVM_RETURN_IF_ERROR(leaving->ReadChunk(clock, h->key, blob, &sparse,
+                                           kTenantMaintenance));
+    if (!sparse) {
+      const size_t blob_pos = static_cast<size_t>(pos - current.begin());
+      const uint32_t* crc = nullptr;
+      if (h->has_crc && !ec) {
+        crc = &h->crc;
+      } else if (h->has_crc && h->frag_crcs.size() == current.size()) {
+        crc = &h->frag_crcs[blob_pos];
       }
-    } else {
-      const std::span<uint8_t> out(buf);
-      NVM_RETURN_IF_ERROR(leaving->ReadChunkRun(clock, {&h->key, 1},
-                                                {&out, 1}, NoteSparse(&sparse),
-                                                kTenantMaintenance));
-      if (!sparse) {
-        // The migrated bytes keep their authoritative checksum.
-        NVM_RETURN_IF_ERROR(CopyWholeChunk(clock, *leaving,
-                                           *bens[static_cast<size_t>(dst)],
-                                           h->key, buf,
-                                           h->has_crc ? &h->crc : nullptr));
-      }
+      NVM_RETURN_IF_ERROR(CopyWholeBlob(clock, leaving->node_id(),
+                                        *bens[static_cast<size_t>(dst)],
+                                        h->key, blob, crc));
     }
     std::vector<int> rewritten = current;
     rewritten[static_cast<size_t>(pos - current.begin())] = dst;

@@ -115,20 +115,24 @@ class Manager {
   // Both operate on already-resolved location spans, so grouping a batch
   // for the run RPCs never re-enters any manager lock.
 
-  // Group read locations by primary (first-listed) benefactor, preserving
-  // input order within each run; a run holds at most `max_run` chunks
-  // (StoreConfig::max_run_chunks) and a benefactor whose run is full
-  // starts a fresh one.  Runs are ordered by their first item, so the
-  // result is deterministic for a given input — and with max_run 1 it is
-  // the input order.  Locations with no benefactor (unresolved/EOF) and
-  // erasure-coded ones are skipped — callers read those chunk by chunk.
-  static std::vector<BenefactorRun> GroupByPrimaryBenefactor(
-      std::span<const ReadLocation> locs, size_t max_run);
+  // Group read locations by the benefactors a healthy read touches, for
+  // the read run RPC: a replicated chunk joins the run of its primary
+  // (first-listed) replica, an erasure-coded stripe the run of each of its
+  // first `ec_k` (data) fragment holders.  Runs preserve input order; a
+  // run holds at most `max_run` items (StoreConfig::max_run_chunks) and a
+  // benefactor whose run is full starts a fresh one.  Runs are ordered by
+  // their first item, so the result is deterministic for a given input —
+  // and with max_run 1 it is the input order.  Locations with no
+  // benefactor (unresolved/EOF) are skipped — callers read those chunk by
+  // chunk — and so are holes (-1) in a fragment map.
+  static std::vector<BenefactorRun> GroupReadsByBenefactor(
+      std::span<const ReadLocation> locs, size_t ec_k, size_t max_run);
 
   // Group write locations by benefactor for the write-side run RPC.
   // Unlike the read-side grouping, a chunk appears in the run of EVERY
-  // benefactor that holds a replica (writes must reach all replicas, reads
-  // only one).  Run length, order and determinism as above.
+  // benefactor that holds a replica or a fragment of it (writes must
+  // reach all of them, reads only one or k).  Holes (-1) in a fragment map
+  // are skipped.  Run length, order and determinism as above.
   static std::vector<BenefactorRun> GroupByBenefactor(
       std::span<const WriteLocation> locs, size_t max_run);
 
@@ -409,12 +413,16 @@ class Manager {
   // index order, and the whole prepared window completes in that one lock
   // pass.  `crcs` (parallel to locs; may be empty) carries the flush-time
   // checksums, recorded per chunk only where `ok` (parallel; may be empty
-  // = all ok) says a replica holds the data.  One batched WAL record
-  // covers the whole window, appended before any in-memory mutation.
+  // = all ok) says the data landed.  For an erasure-coded window
+  // `frag_crcs` carries ec_fragments() positional fragment checksums per
+  // loc, back to back, recorded alongside each chunk's checksum.  One
+  // batched WAL record covers the whole window, appended before any
+  // in-memory mutation.
   void CompleteWrites(sim::VirtualClock& clock,
                       std::span<const WriteLocation> locs,
                       std::span<const uint32_t> crcs = {},
-                      std::span<const char> ok = {});
+                      std::span<const char> ok = {},
+                      std::span<const uint32_t> frag_crcs = {});
   void CompleteWrites(std::span<const WriteLocation> locs,
                       std::span<const uint32_t> crcs = {},
                       std::span<const char> ok = {}) {
@@ -458,12 +466,13 @@ class Manager {
 
  private:
   // Repair and migrate data movement: a write run of one landing the whole
-  // `image` of `key` on `to`, streamed from `from`'s node and admitted to
-  // QoS before the wire, storing `crc` (when non-null) as the chunk's
-  // checksum.  Charged to `clock` as maintenance traffic.
-  Status CopyWholeChunk(sim::VirtualClock& clock, Benefactor& from,
-                        Benefactor& to, const ChunkKey& key,
-                        std::span<const uint8_t> image, const uint32_t* crc);
+  // `image` of `key` (a chunk or one erasure fragment) on `to`, streamed
+  // from `from_node` and admitted to QoS before the wire, storing `crc`
+  // (when non-null) as the blob's checksum.  Charged to `clock` as
+  // maintenance traffic.
+  Status CopyWholeBlob(sim::VirtualClock& clock, int from_node,
+                       Benefactor& to, const ChunkKey& key,
+                       std::span<const uint8_t> image, const uint32_t* crc);
 
   // One chunk's single metadata home, shared (via shared_ptr) by every
   // file slot that references it — checkpoint links reference the same

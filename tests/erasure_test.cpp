@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <set>
 #include <span>
 #include <utility>
@@ -607,6 +608,297 @@ TEST(ErasureStoreTest, CorruptFragmentQuarantinedNeverWrongBytes) {
   EXPECT_GT(rig.store->manager().ec_fragments_repaired(), 0u);
   ExpectFullStripes(rig, id, 1);
   ExpectBytes(c, clock, id, 1, data);
+}
+
+// ---- the run path ----
+
+// Virtual times of one-stripe operations, pinned from the per-fragment
+// RPC path the run RPCs replaced: a one-stripe window sends each fragment
+// holder a run of one, which must cost exactly what the fragment RPC did.
+// The pins cover a full-dirty write, a one-page read-modify-write and a
+// read, with and without the WAL, at both run-length settings.
+struct OneStripeTimes {
+  int64_t write_full = 0;
+  int64_t write_partial = 0;
+  int64_t read = 0;
+  bool operator==(const OneStripeTimes&) const = default;
+};
+
+void PrintTo(const OneStripeTimes& t, std::ostream* os) {
+  *os << "{full " << t.write_full << ", partial " << t.write_partial
+      << ", read " << t.read << "}";
+}
+
+OneStripeTimes MeasureOneStripe(bool wal, size_t max_run) {
+  Rig rig(6, [&](store::StoreConfig& cfg) {
+    cfg.maintenance = false;
+    cfg.wal = wal;
+    cfg.max_run_chunks = max_run;
+  });
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  auto id = c.Create(clock, "/pin");
+  EXPECT_TRUE(id.ok());
+  EXPECT_TRUE(c.Fallocate(clock, *id, 2 * kChunk).ok());
+  auto data = Pattern(kChunk, 40);
+  const uint64_t page = c.config().page_bytes;
+  Bitmap all(kChunk / page);
+  all.SetAll();
+  OneStripeTimes t;
+  int64_t start = clock.now();
+  EXPECT_TRUE(c.WriteChunkPages(clock, *id, 0, all, data).ok());
+  t.write_full = clock.now() - start;
+
+  Bitmap one(kChunk / page);
+  one.Set(5);
+  const auto fresh = Pattern(page, 41);
+  std::copy(fresh.begin(), fresh.end(), data.begin() + 5 * page);
+  start = clock.now();
+  EXPECT_TRUE(c.WriteChunkPages(clock, *id, 0, one, data).ok());
+  t.write_partial = clock.now() - start;
+
+  std::vector<uint8_t> buf(kChunk);
+  start = clock.now();
+  EXPECT_TRUE(c.ReadChunk(clock, *id, 0, buf).ok());
+  t.read = clock.now() - start;
+  EXPECT_EQ(buf, data);
+  return t;
+}
+
+TEST(ErasureRunPathTest, OneStripeTimesMatchPerFragmentPins) {
+  for (bool wal : {false, true}) {
+    const OneStripeTimes pinned =
+        wal ? OneStripeTimes{1'279'601, 1'829'451, 549'850}
+            : OneStripeTimes{1'170'507, 1'720'357, 549'850};
+    for (size_t max_run : {size_t{1}, std::numeric_limits<size_t>::max()}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "wal " << wal << " max_run " << max_run);
+      EXPECT_EQ(MeasureOneStripe(wal, max_run), pinned);
+    }
+  }
+}
+
+// A flush window of `n` stripes starting at chunk 0: `dirty[i]` selects
+// the pages to flush, `valid[i]` (may be null) the pages the image holds.
+Status WriteWindow(store::StoreClient& c, sim::VirtualClock& clock,
+                   store::FileId id, const std::vector<uint8_t>& images,
+                   const std::vector<Bitmap>& dirty,
+                   const std::vector<Bitmap>* valid,
+                   std::vector<store::StoreClient::ChunkWrite>* out = nullptr) {
+  std::vector<store::StoreClient::ChunkWrite> writes(dirty.size());
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    writes[i].index = static_cast<uint32_t>(i);
+    writes[i].dirty = &dirty[i];
+    writes[i].valid = valid != nullptr ? &(*valid)[i] : nullptr;
+    writes[i].image = {images.data() + i * kChunk, kChunk};
+  }
+  Status s = c.WriteChunks(clock, id, writes);
+  for (const auto& w : writes) {
+    if (s.ok() && !w.status.ok()) s = w.status;
+  }
+  if (out != nullptr) *out = writes;
+  return s;
+}
+
+std::vector<Bitmap> PageSets(uint32_t n, uint64_t page_bytes,
+                             std::initializer_list<size_t> pages) {
+  std::vector<Bitmap> sets(n, Bitmap(kChunk / page_bytes));
+  for (Bitmap& b : sets) {
+    if (pages.size() == 0) b.SetAll();
+    for (size_t p : pages) b.Set(p);
+  }
+  return sets;
+}
+
+TEST(ErasureRunPathTest, WindowIsOneRoundTripAndOneRunPerBenefactor) {
+  constexpr uint32_t kStripes = 8;
+  for (size_t max_run : {std::numeric_limits<size_t>::max(), size_t{1}}) {
+    SCOPED_TRACE(::testing::Message() << "max_run " << max_run);
+    Rig rig(6, [&](store::StoreConfig& cfg) {
+      cfg.maintenance = false;
+      cfg.max_run_chunks = max_run;
+    });
+    store::StoreClient& c = rig.store->ClientForNode(0);
+    sim::VirtualClock clock(0);
+    const auto v1 = Pattern(kStripes * kChunk, 50);
+    const store::FileId id = WriteStoreFile(c, "/win", kStripes, v1, clock);
+
+    // Rewrite every stripe in one window: one page each, over images the
+    // caller holds whole, so no stripe needs its old bytes.
+    auto v2 = v1;
+    const uint64_t page = c.config().page_bytes;
+    for (uint32_t i = 0; i < kStripes; ++i) {
+      const auto fresh = Pattern(page, 60 + i);
+      std::copy(fresh.begin(), fresh.end(),
+                v2.begin() + i * kChunk + (i % 16) * page);
+    }
+    std::vector<Bitmap> dirty = PageSets(kStripes, page, {});
+    for (uint32_t i = 0; i < kStripes; ++i) {
+      dirty[i] = Bitmap(kChunk / page);
+      dirty[i].Set(i % 16);
+    }
+    const std::vector<Bitmap> valid = PageSets(kStripes, page, {});
+    std::vector<uint64_t> requests(6);
+    for (size_t b = 0; b < 6; ++b) {
+      requests[b] = rig.store->benefactor(b).write_requests();
+    }
+    const uint64_t rtts = c.meta_round_trips();
+    const uint64_t fetched = c.bytes_fetched();
+    const uint64_t parity = rig.store->manager().ec_parity_bytes();
+    ASSERT_TRUE(WriteWindow(c, clock, id, v2, dirty, &valid).ok());
+    EXPECT_EQ(c.meta_round_trips() - rtts, 1u);
+    EXPECT_EQ(c.bytes_fetched(), fetched);
+    EXPECT_EQ(rig.store->manager().ec_parity_bytes() - parity,
+              kStripes * kChunk / 2);
+    for (size_t b = 0; b < 6; ++b) {
+      // Every benefactor holds one fragment of every stripe.
+      const uint64_t sent = rig.store->benefactor(b).write_requests() -
+                            requests[b];
+      if (max_run == 1) {
+        EXPECT_EQ(sent, kStripes) << "benefactor " << b;
+      } else {
+        EXPECT_LE(sent, 1u) << "benefactor " << b;
+      }
+    }
+    EXPECT_EQ(c.degraded_writes(), 0u);
+    ExpectBytes(c, clock, id, kStripes, v2);
+    ExpectFullStripes(rig, id, kStripes);
+  }
+}
+
+TEST(ErasureRunPathTest, FlushFetchesOnlyStripesWithInvalidPages) {
+  Rig rig(6, [](store::StoreConfig& cfg) { cfg.maintenance = false; });
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  constexpr uint32_t kStripes = 2;
+  const auto v1 = Pattern(kStripes * kChunk, 70);
+  const store::FileId id = WriteStoreFile(c, "/skip", kStripes, v1, clock);
+  const uint64_t page = c.config().page_bytes;
+
+  // A wholly valid image: its clean pages are the stored bytes, so the
+  // flush encodes it as it stands.
+  auto v2 = v1;
+  std::fill(v2.begin() + 3 * page, v2.begin() + 4 * page, 0x3C);
+  std::fill(v2.begin() + kChunk + 7 * page, v2.begin() + kChunk + 8 * page,
+            0x7E);
+  std::vector<Bitmap> dirty = PageSets(kStripes, page, {});
+  dirty[0] = Bitmap(kChunk / page);
+  dirty[0].Set(3);
+  dirty[1] = Bitmap(kChunk / page);
+  dirty[1].Set(7);
+  std::vector<Bitmap> valid = PageSets(kStripes, page, {});
+  uint64_t fetched = c.bytes_fetched();
+  ASSERT_TRUE(WriteWindow(c, clock, id, v2, dirty, &valid).ok());
+  EXPECT_EQ(c.bytes_fetched(), fetched);
+  ExpectBytes(c, clock, id, kStripes, v2);
+
+  // Stripe 1's image lost a clean page (its bytes in the image are
+  // garbage): that stripe alone is fetched, and the stored page wins.
+  auto v3 = v2;
+  std::fill(v3.begin() + 2 * page, v3.begin() + 3 * page, 0x11);
+  std::fill(v3.begin() + kChunk + 9 * page, v3.begin() + kChunk + 10 * page,
+            0x22);
+  dirty[0] = Bitmap(kChunk / page);
+  dirty[0].Set(2);
+  dirty[1] = Bitmap(kChunk / page);
+  dirty[1].Set(9);
+  valid[1].Clear(12);
+  auto image = v3;
+  std::fill(image.begin() + kChunk + 12 * page,
+            image.begin() + kChunk + 13 * page, 0xEE);
+  fetched = c.bytes_fetched();
+  ASSERT_TRUE(WriteWindow(c, clock, id, image, dirty, &valid).ok());
+  EXPECT_EQ(c.bytes_fetched() - fetched, kChunk);
+  ExpectBytes(c, clock, id, kStripes, v3);
+
+  // Without a valid map only the dirty pages are known: every partial
+  // stripe is fetched, in one batched read.
+  fetched = c.bytes_fetched();
+  const uint64_t rtts = c.meta_round_trips();
+  ASSERT_TRUE(WriteWindow(c, clock, id, v3, dirty, nullptr).ok());
+  EXPECT_EQ(c.bytes_fetched() - fetched, kStripes * kChunk);
+  EXPECT_EQ(c.meta_round_trips() - rtts, 1u);
+  ExpectBytes(c, clock, id, kStripes, v3);
+}
+
+TEST(ErasureRunPathTest, BenefactorDeathMidRunCommitsDegradedStripes) {
+  constexpr uint32_t kStripes = 6;
+  Rig rig(6, [](store::StoreConfig& cfg) { cfg.maintenance = false; });
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  const auto v1 = Pattern(kStripes * kChunk, 80);
+  const store::FileId id = WriteStoreFile(c, "/die", kStripes, v1, clock);
+
+  // Benefactor 2 dies after programming two fragments of the window's
+  // run: the run fails, its fragments are retried one by one and fail
+  // fast, and every stripe still lands five of six fragments.
+  rig.store->benefactor(2).KillAfterWrites(2);
+  const auto v2 = Pattern(kStripes * kChunk, 81);
+  const std::vector<Bitmap> all = PageSets(kStripes, c.config().page_bytes, {});
+  std::vector<store::StoreClient::ChunkWrite> writes;
+  ASSERT_TRUE(WriteWindow(c, clock, id, v2, all, nullptr, &writes).ok());
+  EXPECT_FALSE(rig.store->benefactor(2).alive());
+  for (const auto& w : writes) {
+    EXPECT_TRUE(w.status.ok()) << "stripe " << w.index;
+  }
+  EXPECT_EQ(c.degraded_writes(), kStripes);
+  ExpectBytes(c, clock, id, kStripes, v2);
+  EXPECT_GT(c.ec_degraded_reads(), 0u);
+  EXPECT_EQ(rig.store->manager().lost_chunks(), 0u);
+}
+
+TEST(ErasureRunPathTest, CorruptFragmentFailsTheRunAndIsReconstructed) {
+  constexpr uint32_t kStripes = 6;
+  Rig rig(6, [](store::StoreConfig& cfg) { cfg.maintenance = false; });
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  store::Manager& m = rig.store->manager();
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kStripes * kChunk, 90);
+  const store::FileId id = WriteStoreFile(c, "/rot", kStripes, data, clock);
+
+  // Rot stripe 3's first data fragment.
+  auto loc = m.GetReadLocation(clock, id, 3);
+  ASSERT_TRUE(loc.ok());
+  const int bad = loc->benefactors[0];
+  store::Benefactor& b = rig.store->benefactor(static_cast<size_t>(bad));
+  ASSERT_TRUE(b.CorruptChunk(loc->key, 321, 0x10).ok());
+
+  // A run over every fragment that benefactor holds returns CORRUPT.
+  auto locs = m.GetReadLocations(clock, id, 0, kStripes);
+  ASSERT_TRUE(locs.ok());
+  const uint64_t fb = c.config().ec_frag_bytes();
+  std::vector<store::ChunkKey> keys;
+  for (const store::ReadLocation& l : *locs) keys.push_back(l.key);
+  std::vector<uint8_t> bufs(kStripes * fb);
+  std::vector<std::span<uint8_t>> outs;
+  for (uint32_t i = 0; i < kStripes; ++i) {
+    outs.push_back({bufs.data() + i * fb, fb});
+  }
+  sim::VirtualClock direct(clock.now());
+  EXPECT_EQ(b.ReadChunkRun(direct, keys, outs, store::NoteSparse(nullptr))
+                .code(),
+            ErrorCode::kCorrupt);
+
+  // Through the client the batch reconstructs the stripe: right bytes,
+  // one degraded read, the rotten fragment reported.
+  std::vector<std::vector<uint8_t>> got(kStripes,
+                                        std::vector<uint8_t>(kChunk));
+  std::vector<store::StoreClient::ChunkFetch> fetches(kStripes);
+  for (uint32_t i = 0; i < kStripes; ++i) {
+    fetches[i].index = i;
+    fetches[i].out = got[i];
+  }
+  const uint64_t runs = c.run_rpcs();
+  ASSERT_TRUE(c.ReadChunks(clock, id, fetches).ok());
+  for (uint32_t i = 0; i < kStripes; ++i) {
+    ASSERT_TRUE(fetches[i].status.ok()) << "stripe " << i;
+    EXPECT_EQ(0, std::memcmp(got[i].data(), data.data() + i * kChunk, kChunk))
+        << "stripe " << i;
+  }
+  EXPECT_GT(c.run_rpcs(), runs);
+  EXPECT_EQ(c.ec_degraded_reads(), 1u);
+  EXPECT_EQ(c.corrupt_failovers(), 1u);
+  EXPECT_EQ(m.corrupt_detected(), 1u);
 }
 
 // ---- knob-off identity pin ----

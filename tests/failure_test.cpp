@@ -1262,7 +1262,9 @@ std::vector<uint64_t> FlipOffsets(uint64_t blob_bytes) {
   return {0, 1, 63, 64, 255, 256, blob_bytes / 2, blob_bytes - 1};
 }
 
-TEST(OnePassReadTest, BitFlipSurfacesAsCorruptFromReadChunkAndReadFragment) {
+TEST(OnePassReadTest, BitFlipSurfacesAsCorruptFromChunkAndFragmentRuns) {
+  // A stored chunk and a stored erasure fragment are both items of the
+  // read run; each is read in a run of one sized to its blob.
   Rig rig(/*replication=*/1, /*benefactors=*/1);
   store::Benefactor& b = rig.store->benefactor(0);
   const uint64_t frag_bytes = kChunk / 4;
@@ -1271,12 +1273,15 @@ TEST(OnePassReadTest, BitFlipSurfacesAsCorruptFromReadChunkAndReadFragment) {
   const uint32_t frag_crc = Crc32c(frag.data(), frag.size());
   Bitmap all(kChunk / store::StoreConfig{}.page_bytes);
   all.SetAll();
+  Bitmap frag_pages(frag_bytes / store::StoreConfig{}.page_bytes);
+  frag_pages.SetAll();
   {
     sim::VirtualClock clock(0);
     ASSERT_TRUE(MergeVia(MergeRpc::kWritePages, b, clock, OnePassKey(0), all,
                          chunk)
                     .ok());
-    ASSERT_TRUE(b.WriteFragment(clock, OnePassKey(1), frag, &frag_crc).ok());
+    ASSERT_TRUE(
+        b.WritePages(clock, OnePassKey(1), frag_pages, frag, &frag_crc).ok());
   }
   // Each read starts on an idle device, far past the one before.
   int64_t start = 0;
@@ -1284,13 +1289,12 @@ TEST(OnePassReadTest, BitFlipSurfacesAsCorruptFromReadChunkAndReadFragment) {
                         int64_t* elapsed) {
     start += 1'000 * kMs;
     sim::VirtualClock clock(start);
-    const Status s = fragment ? b.ReadFragment(clock, OnePassKey(1), out)
-                              : b.ReadChunk(clock, OnePassKey(0), out);
+    const Status s = b.ReadChunk(clock, OnePassKey(fragment ? 1 : 0), out);
     *elapsed = clock.now() - start;
     return s;
   };
   for (bool fragment : {false, true}) {
-    SCOPED_TRACE(fragment ? "ReadFragment" : "ReadChunk");
+    SCOPED_TRACE(fragment ? "fragment" : "chunk");
     const std::vector<uint8_t>& want = fragment ? frag : chunk;
     const int64_t pinned_ns = fragment ? 144'632 : 353'528;
     std::vector<uint8_t> out(want.size());
@@ -1434,8 +1438,12 @@ TEST(OnePassReadTest, ClientReadsHealthyBytesPastAFlippedBit) {
       ready.push_back(fetches[i].ready_at - 2'000 * kMs);
     }
     const std::vector<int64_t> want_ready =
-        ec ? std::vector<int64_t>{706'453, 958'625, 1'243'565, 1'826'183,
-                                  1'935'885, 2'220'825, 2'505'765, 2'790'705}
+        // RS(4,2): each data-fragment holder streams its fragments of the
+        // batch in one run; the two runs that hit a rotten fragment are
+        // discarded, and their stripes re-read those fragments in runs of
+        // one once the failed run is over.
+        ec ? std::vector<int64_t>{706'453, 2'730'705, 2'871'241, 3'249'455,
+                                  2'312'090, 2'383'325, 3'287'922, 3'359'157}
            : std::vector<int64_t>{882'580, 1'167'519, 1'737'397, 2'721'081,
                                   3'006'020, 1'452'458, 2'022'336, 2'307'553};
     EXPECT_EQ(ready, want_ready);
@@ -1464,12 +1472,15 @@ TEST(CorruptionTest, ScrubVerdictsAndTimeForChunksAndFragments) {
   const uint32_t frag_crc = Crc32c(frag.data(), frag.size());
   Bitmap all(kChunk / store::StoreConfig{}.page_bytes);
   all.SetAll();
+  Bitmap frag_pages(kChunk / 4 / store::StoreConfig{}.page_bytes);
+  frag_pages.SetAll();
   {
     sim::VirtualClock clock(0);
     ASSERT_TRUE(MergeVia(MergeRpc::kWritePages, b, clock, OnePassKey(0), all,
                          chunk)
                     .ok());
-    ASSERT_TRUE(b.WriteFragment(clock, OnePassKey(1), frag, &frag_crc).ok());
+    ASSERT_TRUE(
+        b.WritePages(clock, OnePassKey(1), frag_pages, frag, &frag_crc).ok());
   }
   int64_t start = 0;
   const auto verify = [&](uint32_t index, uint32_t crc, bool* sparse,

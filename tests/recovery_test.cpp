@@ -743,11 +743,13 @@ TEST(CrashMatrix, EcStripeTornBetweenEncodeAndCommitRollsBack) {
   std::vector<std::span<const uint8_t>> frags = codec.DataFragments(new_bytes);
   const auto parity = codec.EncodeParity(frags);
   frags.insert(frags.end(), parity.begin(), parity.end());
+  Bitmap frag_pages(frags[0].size() / rig.client().config().page_bytes);
+  frag_pages.SetAll();
   for (size_t pos = 0; pos < frags.size(); ++pos) {
     const int bid = loc->benefactors[pos];
     const uint32_t crc = Crc32c(frags[pos].data(), frags[pos].size());
     ASSERT_TRUE(rig.store.benefactor(static_cast<size_t>(bid))
-                    .WriteFragment(clock, loc->key, frags[pos], &crc)
+                    .WritePages(clock, loc->key, frag_pages, frags[pos], &crc)
                     .ok());
   }
 
@@ -816,6 +818,68 @@ TEST(CrashMatrix, EcRewriteCompletedOnBenefactorsAdoptsFragmentChecksums) {
   uint32_t auth = 0;
   ASSERT_TRUE(rig.store.manager().LookupChecksum(loc->key, &auth));
   EXPECT_EQ(auth, Crc32c(v2.data(), v2.size()));
+}
+
+TEST(CrashMatrix, EcWindowMidBatchLeavesEveryStripeOldOrNew) {
+  // An erasure-coded flush window lands every fragment of every stripe,
+  // then the WAL freezes at the window's completion entry (kMidBatch).
+  // Whether the stripes were rewritten in place or COW'd away from a
+  // checkpoint, each must read back as entirely its old bytes or entirely
+  // its new ones — never a splice of two generations.
+  constexpr uint32_t kStripes = 4;
+  for (bool cow : {false, true}) {
+    SCOPED_TRACE(cow ? "COW window" : "in-place window");
+    EcRig rig;
+    sim::VirtualClock clock(0);
+    auto idr = rig.client().Create(clock, "/ecw");
+    ASSERT_TRUE(idr.ok());
+    ASSERT_TRUE(rig.client().Fallocate(clock, *idr, kStripes * kChunk).ok());
+    const store::FileId id = *idr;
+    std::vector<std::vector<uint8_t>> v1, v2;
+    for (uint32_t i = 0; i < kStripes; ++i) {
+      v1.push_back(Pattern(100 + i));
+      v2.push_back(Pattern(110 + i));
+    }
+    const uint64_t page = rig.client().config().page_bytes;
+    std::vector<Bitmap> dirty(kStripes, Bitmap(kChunk / page));
+    std::vector<store::StoreClient::ChunkWrite> writes(kStripes);
+    for (uint32_t i = 0; i < kStripes; ++i) {
+      dirty[i].SetAll();
+      writes[i].index = i;
+      writes[i].dirty = &dirty[i];
+      writes[i].image = {v1[i].data(), kChunk};
+    }
+    ASSERT_TRUE(rig.client().WriteChunks(clock, id, writes).ok());
+    if (cow) {
+      auto ckpt = rig.client().Create(clock, "/ecw.ckpt");
+      ASSERT_TRUE(ckpt.ok());
+      ASSERT_TRUE(rig.client().LinkFileChunks(clock, *ckpt, id).ok());
+    }
+
+    rig.store.wal()->CrashAtPoint(CrashPoint::kMidBatch);
+    for (uint32_t i = 0; i < kStripes; ++i) {
+      writes[i].image = {v2[i].data(), kChunk};
+    }
+    ASSERT_TRUE(rig.client().WriteChunks(clock, id, writes).ok());
+    ASSERT_TRUE(rig.store.wal()->crashed());
+
+    rig.store.KillManager();
+    auto report = rig.store.RestartManager(clock);
+    EXPECT_EQ(report.chunks_lost, 0u);
+    // Every fragment of the in-place rewrite is new, so recovery adopts
+    // the new generation; the COW versions never committed and roll back.
+    EXPECT_EQ(report.crc_adopted, cow ? 0u : kStripes);
+    EXPECT_EQ(report.cow_rolled_back, cow ? kStripes : 0u);
+    std::vector<uint8_t> buf(kChunk);
+    for (uint32_t i = 0; i < kStripes; ++i) {
+      ASSERT_TRUE(rig.client().ReadChunk(clock, id, i, buf).ok())
+          << "stripe " << i;
+      const bool old_bytes = buf == v1[i];
+      const bool new_bytes = buf == v2[i];
+      EXPECT_TRUE(old_bytes || new_bytes) << "stripe " << i << " is a splice";
+      EXPECT_EQ(new_bytes, !cow) << "stripe " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
