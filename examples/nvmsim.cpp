@@ -13,7 +13,7 @@
 //   ./nvmsim config=experiment.cfg
 //
 // Common keys: nodes, benefactors, remote, chunk=64K, cache=2M, pool=4M,
-// replication, readahead, readahead_max, cache_shards, batch_fetch,
+// replication, readahead, readahead_max, cache_shards,
 // max_run_chunks (longest store run RPC; 1 = one request per chunk,
 // 0 = unbounded, the default), page_writeback, report (print store status),
 // maintenance (background failure detection/repair/scrub), plus its knobs
@@ -71,7 +71,6 @@ TestbedOptions BuildTestbed(const Config& cfg) {
       cfg.GetInt("cache_shards", static_cast<int64_t>(to.fuse.cache_shards)));
   to.fuse.readahead_max_chunks = static_cast<uint32_t>(
       cfg.GetInt("readahead_max", to.fuse.readahead_max_chunks));
-  to.fuse.batch_fetch = cfg.GetBool("batch_fetch", to.fuse.batch_fetch);
   if (const int64_t n = cfg.GetInt("max_run_chunks", 0); n > 0) {
     to.store.max_run_chunks = static_cast<size_t>(n);
   }

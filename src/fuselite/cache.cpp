@@ -1,6 +1,7 @@
 #include "fuselite/cache.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <map>
 
@@ -81,12 +82,34 @@ ChunkCache::Slot ChunkCache::NewSlot() const {
   return slot;
 }
 
-void ChunkCache::TouchLocked(Shard& sh, const SlotKey& key, Slot& slot) {
+void ChunkCache::LinkLocked(Shard& sh, const SlotKey& key, Slot& slot) {
   const uint64_t tick = lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  sh.lru.erase(slot.lru_it);
   sh.lru.push_front({key, tick});
   slot.lru_it = sh.lru.begin();
   sh.oldest_tick.store(sh.lru.back().second, std::memory_order_relaxed);
+}
+
+void ChunkCache::TouchLocked(Shard& sh, Slot& slot) {
+  slot.lru_it->second = lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+  sh.lru.splice(sh.lru.begin(), sh.lru, slot.lru_it);
+  sh.oldest_tick.store(sh.lru.back().second, std::memory_order_relaxed);
+}
+
+void ChunkCache::UnlinkLocked(Shard& sh, Slot& slot) {
+  sh.lru.erase(slot.lru_it);
+  sh.oldest_tick.store(sh.lru.empty() ? ~0ULL : sh.lru.back().second,
+                       std::memory_order_relaxed);
+}
+
+bool ChunkCache::EraseSlotLocked(Shard& sh, SlotMap::iterator& it) {
+  if (it->second.in_flight) return false;
+  UnlinkLocked(sh, it->second);
+  if (it->second.ra_pending) {
+    ra_pending_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  it = sh.slots.erase(it);
+  resident_.fetch_sub(1, std::memory_order_relaxed);
+  return true;
 }
 
 int64_t ChunkCache::ScheduleOnDaemon(int64_t t0, int64_t duration_ns) {
@@ -216,16 +239,9 @@ Status ChunkCache::ReserveResidency(sim::VirtualClock& clock, size_t count) {
       auto it = victim->slots.find(key);
       NVM_CHECK(it != victim->slots.end());
       if (it->second.dirty.None()) {
-        // Clean victim: evict immediately.
-        if (it->second.ra_pending) {
-          ra_pending_.fetch_sub(1, std::memory_order_relaxed);
-        }
-        victim->lru.pop_back();
-        victim->slots.erase(it);
-        victim->oldest_tick.store(
-            victim->lru.empty() ? ~0ULL : victim->lru.back().second,
-            std::memory_order_relaxed);
-        resident_.fetch_sub(1, std::memory_order_relaxed);
+        // Clean victim: evict immediately (the LRU holds no in-flight
+        // slot, so the erase cannot be refused).
+        NVM_CHECK(EraseSlotLocked(*victim, it));
         ++traffic_.evictions;
         continue;
       }
@@ -253,214 +269,215 @@ Status ChunkCache::ReserveResidency(sim::VirtualClock& clock, size_t count) {
   return OkStatus();
 }
 
-StatusOr<ChunkCache::Slot*> ChunkCache::GetOrCreateSlot(
+bool ChunkCache::PageNeed::CoveredBy(const Bitmap& valid) const {
+  if (ends_only) return valid.Test(first) && valid.Test(last);
+  for (size_t p = first; p <= last; ++p) {
+    if (!valid.Test(p)) return false;
+  }
+  return true;
+}
+
+StatusOr<ChunkCache::Slot*> ChunkCache::AcquireLocked(
     std::unique_lock<std::mutex>& lk, Shard& sh, sim::VirtualClock& clock,
-    const SlotKey& key) {
-  auto it = sh.slots.find(key);
-  if (it != sh.slots.end()) {
-    // If this chunk is still in flight from a prefetch or a batched
-    // fetch, the reader waits for the remainder of the transfer.
-    clock.AdvanceTo(it->second.ready_at);
-    if (it->second.fresh_fetch) {
-      it->second.fresh_fetch = false;  // the miss that paid for the fetch
-    } else {
-      ++traffic_.hit_chunks;
-    }
-    if (it->second.ra_pending) {
-      it->second.ra_pending = false;
-      ra_pending_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    TouchLocked(sh, key, it->second);
-    return &it->second;
-  }
-
-  // Make room before inserting.  Eviction may target any shard (including
-  // this one), so the shard lock must be dropped around it.
-  lk.unlock();
-  Status evicted = ReserveResidency(clock, 1);
-  lk.lock();
-  if (!evicted.ok()) {
-    resident_.fetch_sub(1, std::memory_order_relaxed);
-    return evicted;
-  }
-  it = sh.slots.find(key);
-  if (it != sh.slots.end()) {
-    // Another thread materialised the slot while the lock was dropped.
-    resident_.fetch_sub(1, std::memory_order_relaxed);
-    clock.AdvanceTo(it->second.ready_at);
-    TouchLocked(sh, key, it->second);
-    return &it->second;
-  }
-
-  Slot slot = NewSlot();
-  slot.ready_at = clock.now();
-  const uint64_t tick = lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  sh.lru.push_front({key, tick});
-  auto [ins, ok] = sh.slots.emplace(key, std::move(slot));
-  NVM_CHECK(ok);
-  ins->second.lru_it = sh.lru.begin();
-  sh.oldest_tick.store(sh.lru.back().second, std::memory_order_relaxed);
-  return &ins->second;
-}
-
-Status ChunkCache::EnsureValidLocked(sim::VirtualClock& clock,
-                                     const SlotKey& key, Slot& slot,
-                                     size_t first_page, size_t last_page) {
-  bool all_valid = true;
-  for (size_t p = first_page; p <= last_page; ++p) {
-    if (!slot.valid.Test(p)) {
-      all_valid = false;
-      break;
-    }
-  }
-  if (all_valid) return OkStatus();
-
-  // Fetch the whole chunk (the store's transfer unit) and fill only the
-  // pages we do not already have locally.  With nothing local yet it lands
-  // straight in the slot (a failed read leaves no page valid).
-  const bool in_place = slot.valid.None();
-  std::unique_ptr<uint8_t[]> scratch;
-  if (!in_place) {
-    scratch = std::make_unique_for_overwrite<uint8_t[]>(chunk_bytes());
-  }
-  uint8_t* fetched = in_place ? slot.data.get() : scratch.get();
-  const int64_t t0 = clock.now();
-  NVM_RETURN_IF_ERROR(client_.ReadChunk(clock, key.file, key.index,
-                                        {fetched, chunk_bytes()}));
-  SerializeOnDaemon(clock, t0);
-  ++traffic_.fetched_chunks;
-  if (in_place) {
-    slot.valid.SetAll();
-  } else {
-    for (size_t p = 0; p < slot.valid.size(); ++p) {
-      if (!slot.valid.Test(p)) {
-        std::memcpy(slot.data.get() + p * page_bytes(),
-                    fetched + p * page_bytes(), page_bytes());
-        slot.valid.Set(p);
+    const SlotKey& key, const PageNeed& need, uint32_t run) {
+  for (;;) {
+    auto it = sh.slots.end();
+    sh.landed.wait(lk, [&] {
+      it = sh.slots.find(key);
+      return it == sh.slots.end() || !it->second.in_flight;
+    });
+    Slot* slot = it == sh.slots.end() ? nullptr : &it->second;
+    if (slot != nullptr) {
+      // A chunk still arriving (read-ahead, or a later member of a batch)
+      // costs the reader the remainder of its transfer.
+      clock.AdvanceTo(slot->ready_at);
+      if (slot->fresh_fetch) {
+        slot->fresh_fetch = false;  // the miss that paid for the fetch
+      } else {
+        ++traffic_.hit_chunks;
       }
+      if (slot->ra_pending) {
+        slot->ra_pending = false;
+        ra_pending_.fetch_sub(1, std::memory_order_relaxed);
+      }
+      TouchLocked(sh, *slot);
+      if (need.CoveredBy(slot->valid)) return slot;
+    } else if (need.first > need.last) {
+      // Make room before inserting.  Eviction may target any shard
+      // (including this one), so the shard lock is dropped around it.
+      lk.unlock();
+      Status reserved = ReserveResidency(clock, 1);
+      lk.lock();
+      if (!reserved.ok()) {
+        resident_.fetch_sub(1, std::memory_order_relaxed);
+        return reserved;
+      }
+      if (sh.slots.contains(key)) {
+        // Another thread materialised the slot meanwhile: use that one.
+        resident_.fetch_sub(1, std::memory_order_relaxed);
+        continue;
+      }
+      Slot& created = sh.slots.emplace(key, NewSlot()).first->second;
+      created.ready_at = clock.now();
+      LinkLocked(sh, key, created);
+      return &created;
     }
+    lk.unlock();
+    const Status filled = FetchRun(clock, key.file, key.index,
+                                   slot == nullptr ? run : 1,
+                                   /*prefetch=*/false);
+    lk.lock();
+    NVM_RETURN_IF_ERROR(filled);
   }
-  slot.ready_at = std::max(slot.ready_at, clock.now());
-  return OkStatus();
-}
-
-uint32_t ChunkCache::AbsentRunLength(store::FileId file, uint32_t first,
-                                     uint32_t max) {
-  uint32_t run = 0;
-  while (run < max) {
-    const SlotKey key{file, first + run};
-    Shard& sh = shard_for(key);
-    std::lock_guard<std::mutex> lock(sh.mutex);
-    if (sh.slots.contains(key)) break;
-    ++run;
-  }
-  return run;
 }
 
 Status ChunkCache::FetchRun(sim::VirtualClock& clock, store::FileId file,
                             uint32_t first, uint32_t count, bool prefetch) {
   count = static_cast<uint32_t>(std::min<uint64_t>(
       count, std::min<uint64_t>(capacity_chunks_, kMaxBatchChunks)));
-  std::vector<uint32_t> absent;
+  std::array<Slot*, kMaxBatchChunks> claims{};
+  std::array<store::StoreClient::ChunkFetch, kMaxBatchChunks> fetches;
+  std::unique_ptr<uint8_t[]> scratch;  // claims[0] when it is partly valid
+  std::array<uint32_t, kMaxBatchChunks> absent{};
+  size_t n = 0;
+  size_t n_absent = 0;
   for (uint32_t i = 0; i < count; ++i) {
     const SlotKey key{file, first + i};
     Shard& sh = shard_for(key);
     std::lock_guard<std::mutex> lock(sh.mutex);
-    if (!sh.slots.contains(key)) absent.push_back(first + i);
+    auto it = sh.slots.find(key);
+    if (it == sh.slots.end()) {
+      absent[n_absent++] = key.index;
+    } else if (!prefetch && i == 0 && !it->second.in_flight &&
+               !it->second.valid.All()) {
+      // A partly valid slot: the chunk lands through scratch, so local
+      // pages are never clobbered.
+      UnlinkLocked(sh, it->second);
+      it->second.in_flight = true;
+      claims[0] = &it->second;
+      scratch = std::make_unique_for_overwrite<uint8_t[]>(chunk_bytes());
+      fetches[0].index = key.index;
+      fetches[0].out = {scratch.get(), chunk_bytes()};
+      n = 1;
+    } else if (!prefetch) {
+      break;
+    }
   }
-  if (absent.empty()) return OkStatus();
 
   // Read-ahead runs entirely on a detached clock: the application keeps
   // computing while the chunks are in flight and only pays the residual
-  // wait on arrival (ready_at handling in GetOrCreateSlot).  A foreground
-  // batch charges the single metadata lookup to the caller and detaches
-  // only the data transfers, which the reader then drains chunk by chunk.
+  // wait on arrival (ready_at handling in AcquireLocked).  A foreground
+  // fill charges the metadata lookup to the caller; a batch detaches only
+  // the data transfers, which the reader then drains chunk by chunk.
   sim::VirtualClock detached(clock.now());
   sim::VirtualClock& bclock = prefetch ? detached : clock;
-
-  // Reserve residency up front so the batch's own inserts cannot evict
-  // its not-yet-consumed members mid-flight.
-  Status reserved = ReserveResidency(bclock, absent.size());
-  if (!reserved.ok()) {
-    resident_.fetch_sub(absent.size(), std::memory_order_relaxed);
-    return prefetch ? OkStatus() : reserved;
-  }
-
-  std::vector<Slot> slots;
-  slots.reserve(absent.size());
-  std::vector<store::StoreClient::ChunkFetch> fetches(absent.size());
-  for (size_t i = 0; i < absent.size(); ++i) {
-    slots.push_back(NewSlot());
-    fetches[i].index = absent[i];
-    fetches[i].out = bytes(slots[i]);
-  }
-
-  Status looked_up = client_.ReadChunks(bclock, file, fetches);
-  if (!looked_up.ok()) {
-    // Beyond EOF or store unavailable: leave the chunks absent.  A
-    // foreground read recovers through the single-chunk path, which
-    // reports the error with the usual context.
-    resident_.fetch_sub(absent.size(), std::memory_order_relaxed);
-    return OkStatus();
-  }
-
-  const int64_t t_base = bclock.now();
-  uint64_t landed = 0;
-  int64_t prev_done = t_base;
-  // Consume completions in arrival order: the batched store path streams
-  // chunks per benefactor, so array order and arrival order diverge.
-  // Ordering by ready_at keeps the marginal daemon charge equal to each
-  // chunk's true inter-arrival gap.
-  std::vector<size_t> arrival(absent.size());
-  for (size_t i = 0; i < arrival.size(); ++i) arrival[i] = i;
-  std::stable_sort(arrival.begin(), arrival.end(), [&](size_t a, size_t b) {
-    return fetches[a].ready_at < fetches[b].ready_at;
-  });
-  for (size_t i : arrival) {
-    if (!fetches[i].status.ok()) {
+  // Make room for the absent chunks first, as a page cache allocates its
+  // pages before inserting them, then insert each as an in-flight slot
+  // unless another fill claimed it meanwhile.  Only then is the store
+  // read, so no write can slip in between a fill's read and its landing.
+  Status status =
+      n_absent > 0 ? ReserveResidency(bclock, n_absent) : OkStatus();
+  for (size_t j = 0; j < n_absent; ++j) {
+    const SlotKey key{file, absent[j]};
+    Shard& sh = shard_for(key);
+    std::lock_guard<std::mutex> lock(sh.mutex);
+    if (!status.ok() || sh.slots.contains(key)) {
       resident_.fetch_sub(1, std::memory_order_relaxed);
       continue;
     }
-    Slot& slot = slots[i];
-    slot.valid.SetAll();
-    // Charge a daemon lane only the chunk's marginal completion time
-    // within the batch: the shared NICs already model the transfer
-    // queueing, and billing each chunk for the whole time since batch
-    // start would occupy the lanes quadratically in the batch size.
-    const int64_t marginal = std::max<int64_t>(
-        0, fetches[i].ready_at - prev_done);
-    slot.ready_at =
-        ScheduleOnDaemon(fetches[i].ready_at - marginal, marginal);
-    prev_done = std::max(prev_done, fetches[i].ready_at);
-    slot.fresh_fetch = !prefetch;
-    slot.ra_pending = prefetch;
-    const SlotKey key{file, absent[i]};
-    Shard& sh = shard_for(key);
-    std::lock_guard<std::mutex> lock(sh.mutex);
-    if (sh.slots.contains(key)) {
-      resident_.fetch_sub(1, std::memory_order_relaxed);
-      continue;  // raced with another fetcher; keep the existing copy
-    }
-    const uint64_t tick =
-        lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    sh.lru.push_front({key, tick});
-    auto [ins, ok] = sh.slots.emplace(key, std::move(slot));
-    NVM_CHECK(ok);
-    ins->second.lru_it = sh.lru.begin();
-    sh.oldest_tick.store(sh.lru.back().second, std::memory_order_relaxed);
-    if (prefetch) {
-      ++traffic_.prefetched_chunks;
-      ra_pending_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ++traffic_.fetched_chunks;
-    }
-    ++landed;
+    Slot& slot = sh.slots.emplace(key, NewSlot()).first->second;
+    slot.in_flight = true;
+    claims[n] = &slot;
+    fetches[n].index = key.index;
+    fetches[n].out = bytes(slot);
+    ++n;
   }
-  if (landed > 0) {
+  if (n == 0) return prefetch ? OkStatus() : status;
+  const std::span<store::StoreClient::ChunkFetch> batch(fetches.data(), n);
+  const int64_t t0 = bclock.now();
+  if (status.ok()) status = client_.ReadChunks(bclock, file, batch);
+  if (!status.ok()) {
+    for (auto& f : batch) f.status = status;
+  }
+  if (fill_hook_) fill_hook_(file, fetches[0].index, prefetch);
+
+  // A foreground fill of one holds a daemon lane from the start of its
+  // lookup to its arrival.  A batch (and all read-ahead) books only each
+  // chunk's marginal completion time — the NICs already model transfer
+  // queueing, and whole-batch charges would grow quadratically — in
+  // arrival order, which per-benefactor streams make differ from array
+  // order.
+  const bool single = !prefetch && n == 1;
+  std::array<uint32_t, kMaxBatchChunks> arrival{};
+  for (uint32_t i = 0; i < n; ++i) arrival[i] = i;
+  std::sort(arrival.begin(), arrival.begin() + n,  // stable, no buffer
+            [&](uint32_t a, uint32_t b) {
+              return std::pair(fetches[a].ready_at, a) <
+                     std::pair(fetches[b].ready_at, b);
+            });
+  int64_t prev_done = bclock.now();
+  uint64_t landed = 0;
+  Status first_error = OkStatus();
+  for (size_t k = 0; k < n; ++k) {
+    const auto& f = fetches[arrival[k]];
+    const bool merge = arrival[k] == 0 && scratch != nullptr;
+    int64_t ready = 0;
+    if (single) {
+      clock.AdvanceTo(f.ready_at);
+      if (f.status.ok()) SerializeOnDaemon(clock, t0);
+      ready = clock.now();
+    } else if (f.status.ok()) {
+      const int64_t marginal = std::max<int64_t>(0, f.ready_at - prev_done);
+      ready = ScheduleOnDaemon(f.ready_at - marginal, marginal);
+      prev_done = std::max(prev_done, f.ready_at);
+    }
+    const SlotKey key{file, f.index};
+    Shard& sh = shard_for(key);
+    {
+      std::lock_guard<std::mutex> lock(sh.mutex);
+      Slot& slot = *claims[arrival[k]];
+      slot.in_flight = false;
+      if (!f.status.ok()) {
+        if (first_error.ok()) first_error = f.status;
+        if (merge) {
+          LinkLocked(sh, key, slot);  // back as it was, still partly valid
+        } else {
+          sh.slots.erase(key);
+          resident_.fetch_sub(1, std::memory_order_relaxed);
+        }
+      } else {
+        if (merge) {
+          for (size_t p = 0; p < slot.valid.size(); ++p) {
+            if (slot.valid.Test(p)) continue;
+            std::memcpy(slot.data.get() + p * page_bytes(),
+                        scratch.get() + p * page_bytes(), page_bytes());
+            slot.valid.Set(p);
+          }
+        } else {
+          slot.valid.SetAll();
+        }
+        slot.ready_at = std::max(slot.ready_at, ready);
+        slot.fresh_fetch = !prefetch;
+        slot.ra_pending = prefetch;
+        LinkLocked(sh, key, slot);
+        if (prefetch) {
+          ++traffic_.prefetched_chunks;
+          ra_pending_.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          ++traffic_.fetched_chunks;
+        }
+        ++landed;
+      }
+    }
+    sh.landed.notify_all();
+  }
+  if (!single && landed > 0) {
     ++traffic_.batch_fetches;
     traffic_.batched_chunks += landed;
   }
-  return OkStatus();
+  // Read-ahead past EOF or into an unavailable store just leaves the
+  // chunks absent.
+  return prefetch ? OkStatus() : first_error;
 }
 
 ChunkCache::PrefetchPlan ChunkCache::UpdateStreams(store::FileId file,
@@ -548,6 +565,8 @@ Status ChunkCache::Read(sim::VirtualClock& clock, store::FileId file,
                         uint64_t offset, std::span<uint8_t> out) {
   clock.Advance(config_.per_op_software_ns);
   traffic_.app_bytes_read += out.size();
+  const uint64_t end_chunk =
+      (offset + out.size() + chunk_bytes() - 1) / chunk_bytes();
 
   uint64_t done = 0;
   while (done < out.size()) {
@@ -558,31 +577,17 @@ Status ChunkCache::Read(sim::VirtualClock& clock, store::FileId file,
         std::min<uint64_t>(chunk_bytes() - within, out.size() - done);
     const SlotKey key{file, index};
 
-    if (config_.batch_fetch) {
-      // A cold read spanning several wholly-absent chunks fetches the
-      // run with one metadata round-trip and overlapped transfers
-      // instead of a lookup per chunk.
-      const uint64_t span_chunks =
-          (pos + (out.size() - done) + chunk_bytes() - 1) / chunk_bytes() -
-          index;
-      if (span_chunks >= 2) {
-        const uint32_t max_run = static_cast<uint32_t>(std::min<uint64_t>(
-            span_chunks,
-            std::min<uint64_t>(capacity_chunks_, kMaxBatchChunks)));
-        const uint32_t run = AbsentRunLength(file, index, max_run);
-        if (run >= 2) {
-          NVM_RETURN_IF_ERROR(
-              FetchRun(clock, file, index, run, /*prefetch=*/false));
-        }
-      }
-    }
-
+    // A miss fills the run of absent chunks the rest of this read spans
+    // with one metadata round-trip and overlapped transfers.
+    const auto run = static_cast<uint32_t>(
+        std::min<uint64_t>(kMaxBatchChunks, end_chunk - index));
     Shard& sh = shard_for(key);
     std::unique_lock<std::mutex> lk(sh.mutex);
-    NVM_ASSIGN_OR_RETURN(Slot * slot, GetOrCreateSlot(lk, sh, clock, key));
-    NVM_RETURN_IF_ERROR(EnsureValidLocked(clock, key, *slot,
-                                          within / page_bytes(),
-                                          (within + n - 1) / page_bytes()));
+    NVM_ASSIGN_OR_RETURN(
+        Slot * slot,
+        AcquireLocked(lk, sh, clock, key,
+                      {within / page_bytes(), (within + n - 1) / page_bytes()},
+                      run));
     std::memcpy(out.data() + done, slot->data.get() + within, n);
     lk.unlock();
 
@@ -596,16 +601,8 @@ Status ChunkCache::Read(sim::VirtualClock& clock, store::FileId file,
       Shard& psh = shard_for(prev);
       std::lock_guard<std::mutex> plock(psh.mutex);
       auto pit = psh.slots.find(prev);
-      if (pit != psh.slots.end() && pit->second.dirty.None()) {
-        if (pit->second.ra_pending) {
-          ra_pending_.fetch_sub(1, std::memory_order_relaxed);
-        }
-        psh.lru.erase(pit->second.lru_it);
-        psh.slots.erase(pit);
-        psh.oldest_tick.store(
-            psh.lru.empty() ? ~0ULL : psh.lru.back().second,
-            std::memory_order_relaxed);
-        resident_.fetch_sub(1, std::memory_order_relaxed);
+      if (pit != psh.slots.end() && pit->second.dirty.None() &&
+          EraseSlotLocked(psh, pit)) {
         ++traffic_.evictions;
       }
     }
@@ -627,29 +624,25 @@ Status ChunkCache::Write(sim::VirtualClock& clock, store::FileId file,
     const uint64_t n =
         std::min<uint64_t>(chunk_bytes() - within, in.size() - done);
     const SlotKey key{file, index};
-    Shard& sh = shard_for(key);
-    std::unique_lock<std::mutex> lk(sh.mutex);
-    NVM_ASSIGN_OR_RETURN(Slot * slot, GetOrCreateSlot(lk, sh, clock, key));
     const size_t first_page = within / page_bytes();
     const size_t last_page = (within + n - 1) / page_bytes();
+    // Partially covered head/tail pages need their old contents first
+    // (read-modify-write); fully covered pages are written blind.  The
+    // chunk-granular baseline (Table VII "w/o optimisation") dirties the
+    // whole chunk, so all of it must be valid before any modification.
+    const bool head = within % page_bytes() != 0;
+    const bool tail = (within + n) % page_bytes() != 0;
+    PageNeed need;
     if (!config_.dirty_page_writeback) {
-      // Chunk-granular baseline (Table VII "w/o optimisation"): the dirty
-      // unit is the whole chunk, so the whole chunk must be materialised
-      // before any modification.
-      NVM_RETURN_IF_ERROR(EnsureValidLocked(clock, key, *slot, 0,
-                                            slot->valid.size() - 1));
-    } else {
-      // Partially covered head/tail pages need their old contents first
-      // (read-modify-write); fully covered pages are written blind.
-      if (within % page_bytes() != 0 && !slot->valid.Test(first_page)) {
-        NVM_RETURN_IF_ERROR(
-            EnsureValidLocked(clock, key, *slot, first_page, first_page));
-      }
-      if ((within + n) % page_bytes() != 0 && !slot->valid.Test(last_page)) {
-        NVM_RETURN_IF_ERROR(
-            EnsureValidLocked(clock, key, *slot, last_page, last_page));
-      }
+      need = {0, chunk_bytes() / page_bytes() - 1};
+    } else if (head || tail) {
+      need = {head ? first_page : last_page, tail ? last_page : first_page,
+              /*ends_only=*/true};
     }
+    Shard& sh = shard_for(key);
+    std::unique_lock<std::mutex> lk(sh.mutex);
+    NVM_ASSIGN_OR_RETURN(Slot * slot,
+                         AcquireLocked(lk, sh, clock, key, need, /*run=*/1));
     std::memcpy(slot->data.get() + within, in.data() + done, n);
     for (size_t p = first_page; p <= last_page; ++p) {
       slot->dirty.Set(p);
@@ -690,29 +683,21 @@ Status ChunkCache::Flush(sim::VirtualClock& clock, store::FileId file) {
 
 Status ChunkCache::Drop(sim::VirtualClock& clock, store::FileId file) {
   // Best-effort write-back of the file's dirty chunks, in batched windows.
-  std::vector<uint32_t> indices;
-  for (const auto& shp : shards_) {
-    std::lock_guard<std::mutex> lock(shp->mutex);
-    for (auto& [key, slot] : shp->slots) {
-      if (key.file != file || slot.dirty.None()) continue;
-      indices.push_back(key.index);
-    }
-  }
-  std::sort(indices.begin(), indices.end());
-  for (size_t i = 0; i < indices.size(); i += kMaxBatchChunks) {
-    const size_t n = std::min<size_t>(kMaxBatchChunks, indices.size() - i);
-    const Status flushed = FlushFileWindow(
-        clock, file, std::span<const uint32_t>(indices).subspan(i, n),
-        /*background=*/false);
-    if (!flushed.ok()) {
-      NVM_WLOG("write-back failed while dropping file %llu: %s",
-               static_cast<unsigned long long>(file),
-               flushed.message().c_str());
-    }
+  const Status flushed = Flush(clock, file);
+  if (!flushed.ok()) {
+    NVM_WLOG("write-back failed while dropping file %llu: %s",
+             static_cast<unsigned long long>(file), flushed.message().c_str());
   }
 
   for (const auto& shp : shards_) {
-    std::lock_guard<std::mutex> lock(shp->mutex);
+    std::unique_lock<std::mutex> lk(shp->mutex);
+    // A fill in flight lands before its slot can go.
+    shp->landed.wait(lk, [&] {
+      return std::none_of(shp->slots.begin(), shp->slots.end(),
+                          [&](const auto& e) {
+                            return e.first.file == file && e.second.in_flight;
+                          });
+    });
     for (auto it = shp->slots.begin(); it != shp->slots.end();) {
       if (it->first.file != file) {
         ++it;
@@ -730,16 +715,8 @@ Status ChunkCache::Drop(sim::VirtualClock& clock, store::FileId file) {
                  it->first.index,
                  static_cast<unsigned long long>(it->first.file));
       }
-      if (it->second.ra_pending) {
-        ra_pending_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      shp->lru.erase(it->second.lru_it);
-      it = shp->slots.erase(it);
-      resident_.fetch_sub(1, std::memory_order_relaxed);
+      NVM_CHECK(EraseSlotLocked(*shp, it));
     }
-    shp->oldest_tick.store(
-        shp->lru.empty() ? ~0ULL : shp->lru.back().second,
-        std::memory_order_relaxed);
   }
   std::lock_guard<std::mutex> lock(stream_mutex_);
   streams_.erase(file);

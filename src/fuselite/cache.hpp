@@ -9,18 +9,21 @@
 //    entry, so single-threaded behaviour is still exact LRU),
 //  * 4 KB page-granularity dirty tracking inside each chunk,
 //  * eviction flushes only the dirty pages (Table VII's write optimisation),
-//  * contiguous runs of missing chunks are fetched with one batched
-//    manager lookup and parallel per-benefactor transfers (batch_fetch),
+//  * one fill path: a miss fetches the absent chunks it spans with one
+//    batched manager lookup and parallel per-benefactor transfers, into
+//    in-flight slots that nothing touches until they land,
 //  * sequential-read detection triggers adaptive read-ahead: the window
 //    ramps 1 -> 2 -> 4 ... up to readahead_max_chunks (deeper for
-//    kWriteOnceReadMany) and each window is issued as one batched fetch
-//    on a detached virtual clock so its cost overlaps the application
+//    kWriteOnceReadMany) and each window is issued as one fill on a
+//    detached virtual clock so its cost overlaps the application
 //    (that overlap is why the paper's Table III shows NVMalloc *faster*
 //    than raw SSD access for streams).
 #pragma once
 
 #include <cstdint>
 #include <atomic>
+#include <condition_variable>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -58,10 +61,6 @@ struct FuseliteConfig {
   // Number of lock shards (rounded up to a power of two; 1 = the old
   // single-mutex cache).  Capacity accounting stays global.
   size_t cache_shards = 16;
-  // Coalesce a contiguous run of missing chunks into one batched manager
-  // lookup + parallel benefactor transfers instead of one round-trip per
-  // chunk.
-  bool batch_fetch = true;
   // Adaptive read-ahead window cap, in chunks (kernel-style ramp
   // 1 -> 2 -> 4 ... up to this; kWriteOnceReadMany files get twice the
   // cap).  The fixed next-chunk prefetch of old is cache_shards=anything,
@@ -166,6 +165,13 @@ class ChunkCache {
   uint32_t readahead_window(store::FileId file) const;
   sim::Resource& daemon(size_t lane = 0) { return *daemons_.at(lane); }
 
+  // Test hook: runs in every fill between its store read and its landing,
+  // with no lock held, so a test can hold a fill in flight.  `first` is
+  // the fill's first chunk.  Set it while no other thread uses the cache.
+  using FillHook =
+      std::function<void(store::FileId file, uint32_t first, bool prefetch)>;
+  void SetFillHookForTest(FillHook hook) { fill_hook_ = std::move(hook); }
+
  private:
   struct SlotKey {
     store::FileId file;
@@ -188,18 +194,23 @@ class ChunkCache {
     Bitmap dirty;  // pages modified locally, pending write-back
     Bitmap valid;  // pages whose contents are known (fetched or written)
     int64_t ready_at = 0;  // virtual time the chunk finished arriving
-    // First touch of a slot the foreground batch path just fetched is the
-    // miss that paid for it, not a cache hit.
+    // First touch of a slot a foreground fill just landed is the miss
+    // that paid for it, not a cache hit.
     bool fresh_fetch = false;
     // Prefetched but not yet touched: counts against the global read-ahead
     // budget so concurrent streams cannot thrash the cache with
     // speculative chunks they evict before consuming.
     bool ra_pending = false;
-    LruList::iterator lru_it;
+    // Claimed by a fill that has not landed: off the LRU, waited for by
+    // every access and Drop, refused by EraseSlotLocked.
+    bool in_flight = false;
+    LruList::iterator lru_it;  // valid while the slot is on the LRU
   };
+  using SlotMap = std::unordered_map<SlotKey, Slot, SlotKeyHash>;
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_map<SlotKey, Slot, SlotKeyHash> slots;
+    std::condition_variable landed;  // an in-flight slot landed or failed
+    SlotMap slots;
     LruList lru;  // front = most recent
     // Tick of lru.back(); ~0 when empty.  Read without the lock by the
     // global eviction policy to find the shard holding the oldest entry.
@@ -217,21 +228,24 @@ class ChunkCache {
         *shards_[HashPair64(key.file, key.index) & shard_mask_]);
   }
 
-  // Find or create (without fetching) the slot for `key` in shard `sh`.
-  // `lk` must hold sh.mutex; it may be released and reacquired to make
-  // room, so previously returned Slot pointers are invalidated.
-  StatusOr<Slot*> GetOrCreateSlot(std::unique_lock<std::mutex>& lk, Shard& sh,
-                                  sim::VirtualClock& clock,
-                                  const SlotKey& key);
-  // Fetch the chunk from the store if any page in [first, last] is not
-  // yet valid, filling only the invalid pages (dirty local pages are
-  // never clobbered).  A slot with no valid page is read in place; a
-  // partially valid one goes through a scratch chunk and a page merge.
-  // Pages about to be fully overwritten need no fetch — that is how a
-  // page cache avoids read-modify-write on full-page writes.
-  // Runs with the slot's shard lock held; other shards stay available.
-  Status EnsureValidLocked(sim::VirtualClock& clock, const SlotKey& key,
-                           Slot& slot, size_t first_page, size_t last_page);
+  // The pages of one chunk an access needs valid: all of [first, last],
+  // or only those two when `ends_only` (a write needs just its partly
+  // covered edge pages).  None when first > last.
+  struct PageNeed {
+    size_t first = 1;
+    size_t last = 0;
+    bool ends_only = false;
+    bool CoveredBy(const Bitmap& valid) const;
+  };
+  // The slot for `key` with the pages `need` names valid, sh.mutex held in
+  // `lk`; waits out an in-flight fill first.  A miss, or a slot lacking
+  // those pages, is filled by FetchRun with the lock dropped: a miss
+  // fetches up to `run` chunks from `key`, a partly valid slot just
+  // itself.  A miss that needs no page (whole-page writes) gets an empty
+  // slot and no fetch.
+  StatusOr<Slot*> AcquireLocked(std::unique_lock<std::mutex>& lk, Shard& sh,
+                                sim::VirtualClock& clock, const SlotKey& key,
+                                const PageNeed& need, uint32_t run);
   // Write back the dirty slots among `indices` of one file as ONE batched
   // store write (StoreClient::WriteChunks): one metadata round-trip and
   // one streamed run per benefactor for the whole window.  Each chunk goes
@@ -259,17 +273,21 @@ class ChunkCache {
   // Must be called with NO shard lock held; the caller owns the
   // reservation and must fetch_sub what it does not insert.
   Status ReserveResidency(sim::VirtualClock& clock, size_t count);
-  void TouchLocked(Shard& sh, const SlotKey& key, Slot& slot);
-  // Batched fetch of up to `count` wholly-absent chunks starting at
-  // `first`: one manager lookup round-trip, parallel transfers on
-  // detached clocks, slots inserted ready_at their completion times.
-  // `prefetch` selects the traffic counter and makes EOF misses silent.
-  // Must be called with no shard lock held.
+  // LRU bookkeeping under sh.mutex; each keeps sh.oldest_tick current.
+  void LinkLocked(Shard& sh, const SlotKey& key, Slot& slot);  // at front
+  void TouchLocked(Shard& sh, Slot& slot);
+  void UnlinkLocked(Shard& sh, Slot& slot);
+  // Remove the slot at `it` (LRU, read-ahead budget, residency) and move
+  // `it` to the next slot.  Refuses an in-flight slot: false, no change.
+  bool EraseSlotLocked(Shard& sh, SlotMap::iterator& it);
+  // The cache's one store read: claims up to `count` chunks from `first`
+  // as in-flight slots — read-ahead (`prefetch`) every absent one, a
+  // foreground fill the run up to the first present chunk (its first may
+  // be partly valid) — reads them in one StoreClient::ReadChunks and
+  // lands them.  Returns a foreground fill's first error.  Never waits on
+  // an in-flight slot; call with no shard lock held.
   Status FetchRun(sim::VirtualClock& clock, store::FileId file,
                   uint32_t first, uint32_t count, bool prefetch);
-  // Length of the run of wholly-absent chunks starting at `first`,
-  // scanning at most `max` chunks (shard peeks, no fetch).
-  uint32_t AbsentRunLength(store::FileId file, uint32_t first, uint32_t max);
 
   // Sequential-stream bookkeeping result: the read-ahead batch to issue.
   struct PrefetchPlan {
@@ -317,6 +335,7 @@ class ChunkCache {
   std::unordered_map<store::FileId, AccessAdvice> advice_;
 
   CacheTraffic traffic_;
+  FillHook fill_hook_;
 };
 
 }  // namespace nvm::fuselite

@@ -1,11 +1,17 @@
 // Tests for the sharded chunk cache, batched miss fetches, and the
 // adaptive read-ahead ramp: shard distribution sanity, metadata
 // round-trip coalescing on cold sequential scans, window ramp/reset,
-// and a multi-threaded stress run whose final file contents must match
-// the single-threaded expectation byte for byte.
+// a multi-threaded stress run whose final file contents must match the
+// single-threaded expectation byte for byte, a read-ahead held in flight
+// across a write of its chunk, and a scripted run through every kind of
+// fill pinned to its counters and virtual time.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "fuselite/mount.hpp"
@@ -202,6 +208,137 @@ TEST_F(CacheShardTest, ConcurrentDisjointWritersMatchSingleThreadedResult) {
   std::vector<uint8_t> remote(kTotal);
   ASSERT_TRUE(g->Read(0, remote).ok());
   EXPECT_EQ(remote, expected);
+}
+
+
+TEST_F(CacheShardTest, ReadaheadHeldInFlightNeverLandsOverANewerWrite) {
+  // Thread A's read-ahead of chunk 2 is held between its store read and
+  // its landing.  Meanwhile thread B writes every page of chunk 2,
+  // flushes it and drops the file.  The held fill carries the bytes from
+  // before B's write, so it must never be what B reads back: B's write
+  // has to wait for the in-flight fill to land and then overwrite it.
+  constexpr uint64_t kChunks = 3;
+  constexpr uint32_t kHeld = 2;
+  auto f = mount_->Create("/held", kChunks * kChunk);
+  ASSERT_TRUE(f.ok());
+  const store::FileId id = f->id();
+  ChunkCache& cache = mount_->cache();
+  const auto old_bytes = Pattern(kChunks * kChunk, 41);
+  const auto new_bytes = Pattern(kChunk, 42);
+  {
+    sim::VirtualClock clock;
+    ASSERT_TRUE(cache.Write(clock, id, 0, old_bytes).ok());
+    ASSERT_TRUE(cache.Drop(clock, id).ok());  // flushes, then a cold cache
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool b_done = false;
+  bool a_done = false;
+  auto hold = [&](store::FileId file, uint32_t first, bool prefetch) {
+    if (file != id || first != kHeld || !prefetch) return;
+    std::unique_lock<std::mutex> lock(mu);
+    held = true;
+    cv.notify_all();
+    // Hold until B is done.  When B correctly waits for this fill it never
+    // gets there, so the hold is bounded.
+    cv.wait_for(lock, std::chrono::milliseconds(10), [&] { return b_done; });
+  };
+  cache.SetFillHookForTest(hold);
+
+  Status a_status = OkStatus();
+  std::thread a([&] {
+    sim::VirtualClock clock;
+    std::vector<uint8_t> buf(kChunk);
+    // Two sequential chunk reads start a stream; the second one issues
+    // the read-ahead of chunk 2.
+    a_status = cache.Read(clock, id, 0, buf);
+    if (a_status.ok()) a_status = cache.Read(clock, id, kChunk, buf);
+    std::lock_guard<std::mutex> lock(mu);
+    held = true;  // no hold if the read-ahead never came
+    a_done = true;
+    cv.notify_all();
+  });
+  Status b_status = OkStatus();
+  std::vector<uint8_t> got(kChunk);
+  std::thread b([&] {
+    sim::VirtualClock clock;
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return held; });
+    }
+    b_status = cache.Write(clock, id, kHeld * kChunk, new_bytes);
+    if (b_status.ok()) b_status = cache.Flush(clock, id);
+    if (b_status.ok()) b_status = cache.Drop(clock, id);
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      b_done = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return a_done; });
+    }
+    if (b_status.ok()) b_status = cache.Read(clock, id, kHeld * kChunk, got);
+  });
+  a.join();
+  b.join();
+  cache.SetFillHookForTest(nullptr);
+  ASSERT_TRUE(a_status.ok()) << a_status.ToString();
+  ASSERT_TRUE(b_status.ok()) << b_status.ToString();
+  EXPECT_EQ(cache.traffic().prefetched_chunks.load(), 1u);
+  EXPECT_TRUE(got == new_bytes) << "read back the bytes from before the write";
+}
+
+TEST_F(CacheShardTest, ScriptedFillSequencePinsCountersAndVirtualTime) {
+  // One single-threaded script through every kind of cache fill, with a
+  // cache small enough to evict.  The counters and the final virtual
+  // time are the values the cache gave when single-chunk misses had a
+  // fetch path of their own, so any change to a fill's modelled charge
+  // shows here.
+  FuseliteConfig config;
+  config.cache_bytes = 8 * kChunk;
+  Rebuild(config);
+  constexpr uint64_t kChunks = 72;
+  auto f = mount_->Create("/pin", kChunks * kChunk);
+  ASSERT_TRUE(f.ok());
+  const store::FileId id = f->id();
+  ChunkCache& cache = mount_->cache();
+  const auto data = Pattern(kChunks * kChunk, 51);
+  sim::VirtualClock clock;
+  ASSERT_TRUE(cache.Write(clock, id, 0, data).ok());
+  ASSERT_TRUE(cache.Drop(clock, id).ok());
+  cache.ResetTraffic();
+  const int64_t t0 = clock.now();
+
+  std::vector<uint8_t> buf(4 * kChunk);
+  auto read = [&](uint64_t offset, uint64_t n) {
+    ASSERT_TRUE(cache.Read(clock, id, offset, {buf.data(), n}).ok());
+    ASSERT_TRUE(std::equal(buf.begin(), buf.begin() + static_cast<int64_t>(n),
+                           data.begin() + static_cast<int64_t>(offset)));
+  };
+  read(10 * kChunk + 4_KiB, 4_KiB);  // cold one-chunk read
+  read(20 * kChunk, 4 * kChunk);     // cold multi-chunk read
+  for (uint64_t c = 40; c < 48; ++c) read(c * kChunk, kChunk);  // scan
+  const std::vector<uint8_t> small(64, 0xA5);
+  ASSERT_TRUE(cache.Write(clock, id, 60 * kChunk + 100, small).ok());
+  const std::vector<uint8_t> page(4_KiB, 0x5A);
+  ASSERT_TRUE(cache.Write(clock, id, 62 * kChunk, page).ok());
+  read(62 * kChunk + 3 * 4_KiB, 4_KiB);  // the merge fill
+
+  FuseliteConfig whole = config;
+  whole.dirty_page_writeback = false;
+  ChunkCache ablation(mount_->client(), whole);
+  ASSERT_TRUE(ablation.Write(clock, id, 64 * kChunk + 200, small).ok());
+
+  const auto& t = cache.traffic();
+  EXPECT_EQ(t.fetched_chunks.load(), 9u);
+  EXPECT_EQ(t.prefetched_chunks.load(), 13u);
+  EXPECT_EQ(t.hit_chunks.load(), 7u);
+  EXPECT_EQ(t.batch_fetches.load(), 9u);
+  EXPECT_EQ(t.batched_chunks.load(), 17u);
+  EXPECT_EQ(t.evictions.load(), 14u);
+  EXPECT_EQ(ablation.traffic().fetched_chunks.load(), 1u);
+  EXPECT_EQ(ablation.traffic().hit_chunks.load(), 0u);
+  EXPECT_EQ(clock.now() - t0, 12'131'269);
 }
 
 }  // namespace
