@@ -247,14 +247,19 @@ Status ChunkCache::ReserveResidency(sim::VirtualClock& clock, size_t count) {
       }
       // Dirty victim: coalesce it with the other dirty chunks of the same
       // file living in this shard into one write-back window, so eviction
-      // pressure drains in batched runs instead of chunk-sized writes.
+      // pressure drains in batched runs instead of chunk-sized writes.  The
+      // victim leads, then the lowest other indices: the window depends on
+      // which chunks are dirty, never on the slot map's iteration order.
       flush_file = key.file;
       flush_indices.push_back(key.index);
       for (const auto& [skey, slot] : victim->slots) {
-        if (flush_indices.size() >= kMaxBatchChunks) break;
         if (skey.file != flush_file || skey.index == key.index) continue;
         if (slot.dirty.None()) continue;
         flush_indices.push_back(skey.index);
+      }
+      std::sort(flush_indices.begin() + 1, flush_indices.end());
+      if (flush_indices.size() > kMaxBatchChunks) {
+        flush_indices.resize(kMaxBatchChunks);
       }
     }
     // Write back outside the victim's lock (the window locks its shards

@@ -214,7 +214,10 @@ Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
     }
     if (!copy) {
       // Sparse chunk: the stream carries only the "no such chunk" marker,
-      // no device access (the backing file has a hole here).
+      // no device access (the backing file has a hole here) — unless the
+      // benefactor died since the check above: a retired one drops its
+      // bytes right after Kill(), and a miss then must not read as zeros.
+      NVM_RETURN_IF_ERROR(EnsureAlive());
       std::memset(out.data(), 0, out.size());
       item.sparse = true;
       item.ready_at = clock.now();

@@ -152,7 +152,17 @@ class Benefactor {
   // client threads report failures.
   bool alive() const { return alive_.load(std::memory_order_acquire); }
   void Kill() { alive_.store(false, std::memory_order_release); }
-  void Revive() { alive_.store(true, std::memory_order_release); }
+  // Back in service: alive, and no longer retiring.
+  void Revive() {
+    retiring_.store(false, std::memory_order_release);
+    alive_.store(true, std::memory_order_release);
+  }
+  // A retiring benefactor is being drained (Manager::Decommission): it
+  // keeps serving the copies it holds, but placement never picks it and
+  // its copies do not count toward a chunk's redundancy.  Lives here, not
+  // in the manager, so it survives a manager crash like `alive` does.
+  bool retiring() const { return retiring_.load(std::memory_order_acquire); }
+  void Retire() { retiring_.store(true, std::memory_order_release); }
   // Die after `n` more chunks have been read off the device — lets tests
   // crash a benefactor in the middle of a read run.  0 disarms.
   void KillAfterReads(uint64_t n) {
@@ -298,6 +308,7 @@ class Benefactor {
   uint64_t next_offset_ = 0;
   std::vector<uint64_t> free_offsets_;
   std::atomic<bool> alive_{true};
+  std::atomic<bool> retiring_{false};
   std::atomic<uint64_t> kill_after_reads_{0};
   std::atomic<uint64_t> kill_after_writes_{0};
   // Bit-rot model state (mutex_-guarded: firing picks a stored chunk).

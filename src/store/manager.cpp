@@ -1,6 +1,8 @@
 #include "store/manager.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <tuple>
 
 #include "common/checksum.hpp"
@@ -280,7 +282,7 @@ void Manager::CompleteWriteLocked(MetaShard& shard, const ChunkKey& key,
                                   const uint32_t* crc,
                                   std::span<const uint32_t> frag_crcs) {
   auto it = shard.inflight_writers.find(key);
-  NVM_CHECK(it != shard.inflight_writers.end(), "unmatched CompleteWrite");
+  NVM_CHECK(it != shard.inflight_writers.end(), "unmatched CompleteWrites");
   if (--it->second == 0) shard.inflight_writers.erase(it);
   // The write's bytes (if any landed) postdate every repair copy taken
   // while it was in flight: move the epoch so such a commit fails.
@@ -306,33 +308,6 @@ void Manager::CompleteWriteLocked(MetaShard& shard, const ChunkKey& key,
       h.frag_crcs.clear();
     }
   }
-}
-
-void Manager::CompleteWrite(sim::VirtualClock& clock, const ChunkKey& key,
-                            const uint32_t* crc,
-                            std::span<const uint32_t> frag_crcs) {
-  MetaShard& shard = shards_[shard_of(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (wal_ != nullptr) {
-    auto cit = shard.chunks.find(key);
-    if (cit != shard.chunks.end()) {
-      const ChunkHandle& h = *cit->second;
-      // Log-before-publish: the erase of a stale checksum is as durable a
-      // transition as a new one — without it, recovery would stamp the old
-      // checksum onto bytes a failed flush left in an unknown state.
-      if (crc != nullptr || h.has_crc) {
-        WalRecord rec;
-        rec.type = WalRecordType::kComplete;
-        WalCompletion done{key, crc != nullptr, crc != nullptr ? *crc : 0};
-        if (crc != nullptr) {
-          done.frag_crcs.assign(frag_crcs.begin(), frag_crcs.end());
-        }
-        rec.completions.push_back(std::move(done));
-        LogAppend(clock, std::move(rec));
-      }
-    }
-  }
-  CompleteWriteLocked(shard, key, crc, frag_crcs);
 }
 
 void Manager::CompleteWrites(sim::VirtualClock& clock,
@@ -392,36 +367,36 @@ void Manager::CompleteWrites(sim::VirtualClock& clock,
   }
 }
 
+bool Manager::Degraded(bool ec, const std::vector<int>& list,
+                       const std::vector<Benefactor*>& bens) const {
+  size_t live = 0;  // readable holders, retiring ones included
+  bool degraded = false;
+  for (int bid : list) {
+    if (bid < 0 || !bens[static_cast<size_t>(bid)]->alive()) {
+      degraded = true;
+      continue;
+    }
+    ++live;
+    if (bens[static_cast<size_t>(bid)]->retiring()) degraded = true;
+  }
+  // An EC stripe below k live fragments has no reconstruction; a replica
+  // list whose holders all died is still reported, so the planner can
+  // record the loss.
+  if (ec) return degraded && live >= config_.ec_k;
+  return !list.empty() &&
+         (degraded || list.size() < static_cast<size_t>(config_.replication));
+}
+
 std::vector<ChunkKey> Manager::CollectUnderReplicated() const {
   const std::vector<Benefactor*> bens = SnapshotBenefactors();
   std::vector<ChunkKey> keys;
   for (const MetaShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [key, h] : shard.chunks) {
-      auto list = h->replicas.load(std::memory_order_acquire);
-      if (list->empty()) continue;  // lost: nothing to repair
-      bool degraded = false;
-      if (h->ec) {
-        // Positional fragment map: a hole (-1) or a dead holder degrades
-        // the stripe; below k live fragments it is lost, not repairable.
-        size_t live = 0;
-        for (int bid : *list) {
-          if (bid < 0) {
-            degraded = true;
-          } else if (bens[static_cast<size_t>(bid)]->alive()) {
-            ++live;
-          } else {
-            degraded = true;
-          }
-        }
-        if (live < config_.ec_k) continue;  // lost: nothing to repair
-      } else {
-        degraded = list->size() < static_cast<size_t>(config_.replication);
-        for (int bid : *list) {
-          if (!bens[static_cast<size_t>(bid)]->alive()) degraded = true;
-        }
+      if (Degraded(h->ec, *h->replicas.load(std::memory_order_acquire),
+                   bens)) {
+        keys.push_back(key);
       }
-      if (degraded) keys.push_back(key);
     }
   }
   std::sort(keys.begin(), keys.end(), KeyLess);
@@ -466,8 +441,9 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
     if (h.ec) {
       // Erasure-coded stripe: positions are stable.  Dead holders become
       // holes (-1) in place — their fragment died with the device — and
-      // the plan reserves one target per hole, spread over failure
-      // domains distinct from every surviving fragment's node.
+      // the plan reserves one target per hole and per position a retiring
+      // holder fills, spread over failure domains distinct from every
+      // surviving fragment's node.
       const uint64_t fb = config_.ec_frag_bytes();
       std::vector<int> positions = recorded;
       std::vector<int> dead;
@@ -508,7 +484,10 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
       }
       std::vector<uint32_t> holes;
       for (size_t pos = 0; pos < positions.size(); ++pos) {
-        if (positions[pos] < 0) holes.push_back(static_cast<uint32_t>(pos));
+        const int bid = positions[pos];
+        if (bid < 0 || bens[static_cast<size_t>(bid)]->retiring()) {
+          holes.push_back(static_cast<uint32_t>(pos));
+        }
       }
       if (holes.empty()) continue;  // healthy after stripping (stale report)
 
@@ -576,9 +555,11 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
 
     std::vector<int> survivors;
     std::vector<int> dead;
+    size_t staying = 0;  // survivors that count toward the factor
     for (int bid : recorded) {
-      (bens[static_cast<size_t>(bid)]->alive() ? survivors : dead)
-          .push_back(bid);
+      const Benefactor* b = bens[static_cast<size_t>(bid)];
+      (b->alive() ? survivors : dead).push_back(bid);
+      if (b->alive() && !b->retiring()) ++staying;
     }
     if (!dead.empty()) {
       // Log the stripped list (empty = lost) before touching any
@@ -610,7 +591,8 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
     // Publish the stripped list immediately — readers stop trying dead
     // ids while the copy runs.
     if (!dead.empty()) PublishReplicasLocked(h, survivors);
-    if (survivors.size() >= static_cast<size_t>(config_.replication)) {
+    const auto factor = static_cast<size_t>(config_.replication);
+    if (staying >= factor && staying == survivors.size()) {
       continue;  // healthy after stripping (stale report)
     }
 
@@ -643,8 +625,8 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
     req.avoid_suspected = config_.placement_avoid_suspected;
     req.exclude_suspected = config_.placement_avoid_suspected;
     req.wear_weight = config_.placement_wear_weight;
-    const size_t need =
-        static_cast<size_t>(config_.replication) - survivors.size();
+    // A retiring survivor stays a copy source but needs a replacement.
+    const size_t need = factor > staying ? factor - staying : 0;
     for (int bid : RankPlacement(cands, req)) {
       if (plan.targets.size() == need) break;
       if (bens[static_cast<size_t>(bid)]->ReserveChunks(1).ok()) {
@@ -704,11 +686,22 @@ Manager::RepairOutcome Manager::ExecuteRepairPlan(sim::VirtualClock& clock,
     NVM_CHECK(plan.survivors.size() == nf,
               "EC repair plan with malformed fragment map");
     std::vector<std::vector<uint8_t>> frags(nf);
+    // Fetch order: the targets' own positions first — one a retiring
+    // holder still fills copies verbatim, so a drain is no rebuild — then
+    // the rest in position order until k verified fragments are here.
+    std::vector<uint32_t> order = plan.target_positions;
+    for (uint32_t pos = 0; pos < nf; ++pos) {
+      if (std::find(order.begin(), order.end(), pos) == order.end()) {
+        order.push_back(pos);
+      }
+    }
     const int64_t start = clock.now();
     int64_t fetched = start;
     size_t good = 0;
+    size_t own = 0;  // targets whose own fragment was fetched
     bool any_data = false;
-    for (uint32_t pos = 0; pos < nf && good < k; ++pos) {
+    for (size_t i = 0; i < nf && good < k && own < plan.targets.size(); ++i) {
+      const uint32_t pos = order[i];
       const int bid = plan.survivors[pos];
       if (bid < 0) continue;
       Benefactor* b = BenefactorAt(bid);
@@ -746,14 +739,16 @@ Manager::RepairOutcome Manager::ExecuteRepairPlan(sim::VirtualClock& clock,
       }
       frags[pos] = std::move(buf);  // sparse reads back as zeros
       ++good;
+      if (i < plan.targets.size()) ++own;
       fetched = std::max(fetched, fetch.now());
     }
     clock.AdvanceTo(fetched);
-    if (good < k) {
+    const bool rebuild = own < plan.targets.size();
+    if (rebuild && good < k) {
       out.failed = plan.targets;
       return out;
     }
-    if (any_data) {
+    if (rebuild && any_data) {
       // Decode + re-encode cost is modelled; the parity math is real, so
       // the rebuilt fragments are byte-exact.
       clock.Advance(config_.ec_encode_ns(config_.chunk_bytes));
@@ -895,6 +890,7 @@ uint64_t Manager::CommitRepair(sim::VirtualClock& clock,
   // reads served off it never observe the copy-window gap.  (EC: written
   // fragments slot back into their stable positions instead.)
   std::vector<int> fresh = plan.survivors;
+  std::vector<int> retired;  // retiring holders this commit replaces
   uint64_t recreated = 0;
   for (int bid : outcome.written) {
     Benefactor* b = BenefactorAt(bid);
@@ -906,7 +902,8 @@ uint64_t Manager::CommitRepair(sim::VirtualClock& clock,
         NVM_CHECK(at < plan.target_positions.size(),
                   "EC repair wrote an unplanned target");
         const uint32_t pos = plan.target_positions[at];
-        NVM_CHECK(fresh[pos] == -1, "EC repair filling an occupied slot");
+        // A filled position belongs to a retiring holder handing it over.
+        if (fresh[pos] >= 0) retired.push_back(fresh[pos]);
         fresh[pos] = bid;
         ec_fragments_repaired_.Add(1);
       } else {
@@ -921,6 +918,16 @@ uint64_t Manager::CommitRepair(sim::VirtualClock& clock,
   for (int bid : outcome.failed) {
     UndoRepairTargetLocked(shard, plan.key, bid, res_bytes);
   }
+  const auto retiring = [this](int bid) {
+    return BenefactorAt(bid)->retiring();
+  };
+  if (!plan.ec && std::count_if(fresh.begin(), fresh.end(),
+                                std::not_fn(retiring)) >= config_.replication) {
+    // The staying replicas meet the factor: retiring holders leave.
+    std::copy_if(fresh.begin(), fresh.end(), std::back_inserter(retired),
+                 retiring);
+    std::erase_if(fresh, retiring);
+  }
   if (fresh != plan.survivors) {
     // Log the committed list before publishing it (log-before-publish).
     // An unchanged list (every target died/failed) appends nothing.
@@ -931,6 +938,11 @@ uint64_t Manager::CommitRepair(sim::VirtualClock& clock,
     LogAppend(clock, std::move(rec));
   }
   PublishReplicasLocked(h, std::move(fresh));
+  // Only now that the list naming their replacements is logged do the
+  // retiring copies give their space back.  Their bytes stay until
+  // Decommission retires the benefactor: a reader that resolved the old
+  // list may still be reading them.
+  for (int bid : retired) BenefactorAt(bid)->ReleaseBytes(res_bytes);
   // Survivors caught serving corrupt bytes during the copy are stripped
   // now, under the same commit (the epoch check above guarantees no write
   // refreshed them in between); the shortened list needs another round.
@@ -1082,27 +1094,9 @@ Manager::ScrubResult Manager::ScrubOnce(sim::VirtualClock& clock) {
   }
   // Pass 3 — re-find under-replicated chunks the report path missed.
   for (const auto& [key, list] : lists) {
-    if (list->empty()) continue;  // lost
-    bool degraded = false;
-    if (placed.at(key)->ec) {
-      size_t live = 0;
-      for (int bid : *list) {
-        if (bid < 0) {
-          degraded = true;
-        } else if (bens[static_cast<size_t>(bid)]->alive()) {
-          ++live;
-        } else {
-          degraded = true;
-        }
-      }
-      if (live < config_.ec_k) continue;  // lost: nothing to repair
-    } else {
-      degraded = list->size() < static_cast<size_t>(config_.replication);
-      for (int bid : *list) {
-        if (!bens[static_cast<size_t>(bid)]->alive()) degraded = true;
-      }
+    if (Degraded(placed.at(key)->ec, *list, bens)) {
+      result.under_replicated.push_back(key);
     }
-    if (degraded) result.under_replicated.push_back(key);
   }
   // Sorted so the requeue order does not depend on shard count or hash
   // iteration order.
@@ -1328,13 +1322,6 @@ void Manager::ReportCorrupt(sim::VirtualClock& clock, const ChunkKey& key,
   if (degraded) ReportDegraded(key, clock.now());
 }
 
-void Manager::ReportCorrupt(const ChunkKey& key, int bid, int64_t now_ns) {
-  // Legacy entry point: same semantics on a throwaway clock pinned at
-  // now_ns (identical when no WAL is attached — nothing charges it).
-  sim::VirtualClock wal_clock(now_ns);
-  ReportCorrupt(wal_clock, key, bid);
-}
-
 bool Manager::LookupChecksum(const ChunkKey& key, uint32_t* crc) const {
   const MetaShard& shard = shards_[shard_of(key)];
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -1350,110 +1337,49 @@ void Manager::MaintenanceTick(int64_t now_ns) {
 }
 
 StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
-  const std::vector<Benefactor*> bens = SnapshotBenefactors();
-  if (id < 0 || static_cast<size_t>(id) >= bens.size()) {
-    return NotFound("benefactor " + std::to_string(id));
-  }
-  Benefactor* leaving = bens[static_cast<size_t>(id)];
+  Benefactor* leaving = BenefactorAt(id);
+  if (leaving == nullptr) return NotFound("benefactor " + std::to_string(id));
   if (!leaving->alive()) {
     return FailedPrecondition("cannot drain a dead benefactor");
   }
-
-  // Rare, operator-driven: hold every shard mutex for the duration so the
-  // placement rewrite is atomic against the whole metadata plane.
-  std::vector<std::unique_lock<std::mutex>> held;
-  held.reserve(meta_shards_);
-  for (MetaShard& shard : shards_) held.emplace_back(shard.mu);
-
-  // Each chunk has exactly one handle; visit them in key order so the
-  // migration sequence (and its virtual-time trace) is deterministic.
-  std::vector<ChunkHandle*> handles;
-  for (const MetaShard& shard : shards_) {
-    for (const auto& [key, h] : shard.chunks) handles.push_back(h.get());
+  {
+    // Metadata only: every placement snapshots its candidates and
+    // publishes under its chunk's shard mutex, so one that ran before this
+    // pass is visible to the scan below and every later one avoids `id`.
+    std::vector<std::unique_lock<std::mutex>> held;
+    held.reserve(meta_shards_);
+    for (MetaShard& shard : shards_) held.emplace_back(shard.mu);
+    leaving->Retire();
   }
-  std::sort(handles.begin(), handles.end(),
-            [](const ChunkHandle* a, const ChunkHandle* b) {
-              return KeyLess(a->key, b->key);
-            });
-
-  uint64_t migrated = 0;
-  std::vector<uint8_t> buf(config_.chunk_bytes);
-
-  for (ChunkHandle* h : handles) {
-    const std::vector<int> current =
-        *h->replicas.load(std::memory_order_acquire);
-    auto pos = std::find(current.begin(), current.end(), id);
-    if (pos == current.end()) continue;
-    const bool ec = h->ec;
-    const uint64_t move_bytes = ChunkResBytes(ec);
-    // Pick a destination: the next alive benefactor with space that does
-    // not already hold a replica of this chunk — and, for an EC fragment,
-    // whose node hosts no OTHER fragment of the stripe (the failure-domain
-    // spread survives the migration).
-    int dst = -1;
-    for (size_t scan = 1; scan < bens.size(); ++scan) {
-      const size_t cand = (static_cast<size_t>(id) + scan) % bens.size();
-      Benefactor* b = bens[cand];
-      if (!b->alive() || static_cast<int>(cand) == id) continue;
-      if (std::find(current.begin(), current.end(),
-                    static_cast<int>(cand)) != current.end()) {
-        continue;
-      }
-      if (ec && b->node_id() >= 0) {
-        bool colocated = false;
-        for (int other : current) {
-          if (other < 0 || other == id) continue;
-          if (bens[static_cast<size_t>(other)]->node_id() == b->node_id()) {
-            colocated = true;
-            break;
-          }
-        }
-        if (colocated) continue;
-      }
-      if (b->ReserveBytes(move_bytes).ok()) {
-        dst = static_cast<int>(cand);
-        break;
-      }
+  // The repair engine moves the data: a retiring holder counts toward no
+  // chunk's redundancy, so each chunk it holds plans a replacement, copies
+  // (from it, or a verified peer) with no lock held, and commits — or
+  // requeues while a write is in flight.  Re-scanning also catches
+  // copy-on-write versions made during the drain.
+  uint64_t recreated = 0;
+  bool no_room = false;
+  std::vector<ChunkKey> keys = ChunksWithReplicasOn(id);
+  for (int round = 0; round < 4 && !keys.empty(); ++round) {
+    no_room = false;
+    for (const RepairPlan& plan : PlanRepairs(clock, keys)) {
+      no_room |= plan.incomplete;
+      recreated += CommitRepair(clock, ExecuteRepairPlan(clock, plan));
     }
-    if (dst < 0) {
-      return OutOfSpace("no destination for chunk " + h->key.ToString());
-    }
-    // Move the blob (a replica or one fragment) benefactor-to-benefactor
-    // (read + network hop + write), like the paper's re-configuration path
-    // would; the migrated bytes keep their authoritative checksum.
-    bool sparse = false;
-    const std::span<uint8_t> blob(buf.data(), move_bytes);
-    NVM_RETURN_IF_ERROR(leaving->ReadChunk(clock, h->key, blob, &sparse,
-                                           kTenantMaintenance));
-    if (!sparse) {
-      const size_t blob_pos = static_cast<size_t>(pos - current.begin());
-      const uint32_t* crc = nullptr;
-      if (h->has_crc && !ec) {
-        crc = &h->crc;
-      } else if (h->has_crc && h->frag_crcs.size() == current.size()) {
-        crc = &h->frag_crcs[blob_pos];
-      }
-      NVM_RETURN_IF_ERROR(CopyWholeBlob(clock, leaving->node_id(),
-                                        *bens[static_cast<size_t>(dst)],
-                                        h->key, blob, crc));
-    }
-    std::vector<int> rewritten = current;
-    rewritten[static_cast<size_t>(pos - current.begin())] = dst;
-    // Log the rewritten placement BEFORE dropping the leaving replica's
-    // copy: a crash in between then recovers to the new list (the copy on
-    // dst is already in place), never to a list naming deleted data.
-    WalRecord rec;
-    rec.type = WalRecordType::kReplicas;
-    rec.key = h->key;
-    rec.replicas = rewritten;
-    LogAppend(clock, std::move(rec));
-    (void)leaving->DeleteChunk(h->key);
-    leaving->ReleaseBytes(move_bytes);
-    PublishReplicasLocked(*h, std::move(rewritten));
-    ++migrated;
+    keys = ChunksWithReplicasOn(id);
   }
-  leaving->Kill();  // retired: no longer schedulable
-  return migrated;
+  if (!keys.empty()) {
+    const std::string left = std::to_string(keys.size()) +
+                             " chunks still on benefactor " +
+                             std::to_string(id) + "; retry the drain";
+    return no_room ? OutOfSpace(left) : Unavailable(left);
+  }
+  leaving->Kill();  // retired: no list names it any more
+  // The replaced copies' space went back at their commits; their bytes go
+  // now that no reader can reach this benefactor.
+  for (const ChunkKey& key : leaving->StoredChunkKeys()) {
+    (void)leaving->DeleteChunk(key);
+  }
+  return recreated;
 }
 
 StatusOr<FileId> Manager::CreateFile(sim::VirtualClock& clock,
@@ -1516,7 +1442,7 @@ void Manager::UnrefChunkLocked(MetaShard& shard, ChunkHandle& h) {
     }
     // The handle (and with it epoch/checksum/corruption state) dies here;
     // an open write fence or reserved repair target survives in the shard
-    // side maps until its CompleteWrite / CommitRepair settles it.
+    // side maps until its CompleteWrites / CommitRepair settles it.
     shard.chunks.erase(h.key);
   }
 }
@@ -1568,6 +1494,7 @@ std::vector<PlacementCandidate> Manager::BuildPlacementCandidates(
     PlacementCandidate& c = cands[i];
     c.bid = static_cast<int>(i);
     c.alive = b->alive();
+    c.excluded = b->retiring();  // being drained: no new data
     c.bytes_free = b->bytes_free();
     c.node = b->node_id();
     if (suspected != nullptr && i < suspected->size()) {
@@ -1631,9 +1558,10 @@ Status Manager::Fallocate(sim::VirtualClock& clock, FileId id,
     key.version = 0;
     // The candidate snapshot, reservations (and any rollback) and the
     // chunk insert all happen under the chunk's shard mutex: the
-    // scrubber's drift reconciliation and Decommission hold every shard
-    // mutex, so neither can observe a reservation without its chunk, nor
-    // retire a benefactor between the alive() check and publication.
+    // scrubber's drift reconciliation holds every shard mutex, so it never
+    // observes a reservation without its chunk, and Decommission's retire
+    // pass does too, so a placement either sees the retiring flag or is
+    // published before the drain scans for the benefactor's chunks.
     MetaShard& shard = shards_[shard_of(key)];
     std::unique_lock<std::mutex> slock(shard.mu);
     const std::vector<PlacementCandidate> cands = BuildPlacementCandidates(
@@ -1794,7 +1722,7 @@ StatusOr<WriteLocation> Manager::PrepareWriteSlot(
     // Sole owner: write in place.  Bump the repair epoch — a repair copy
     // planned before this write would publish stale bytes, and the moved
     // epoch makes its commit fail and retry.  The writer count fences off
-    // repair commits until CompleteWrite: the data lands outside the
+    // repair commits until CompleteWrites: the data lands outside the
     // shard mutex, so until then any repair copy may be missing it.
     ++h.repair_epoch;
     ++old_shard.inflight_writers[h.key];

@@ -20,9 +20,10 @@
 //     shard's mutex (publish-on-commit), loads are lock-free.  The read-
 //     resolve fast path (GetReadLocations) therefore takes NO shard lock.
 //   * Cross-shard lock sets (CompleteWrites over a flush window, the COW
-//     old/new pair of a prepare, the scrubber's stop-the-world pass) are
-//     always acquired in ascending shard-index order — the same deadlock-
-//     free discipline as ChunkCache::FlushFileWindow.
+//     old/new pair of a prepare, the scrubber's stop-the-world pass,
+//     Decommission's retire pass) are always acquired in ascending
+//     shard-index order — the same deadlock-free discipline as
+//     ChunkCache::FlushFileWindow.
 //   * Lock hierarchy (acquire strictly left to right; ns_mu_ is never held
 //     across a file or shard acquisition):
 //       file mu  ->  shard mu (ascending)  ->  reg_mu_ / benefactor
@@ -164,12 +165,17 @@ class Manager {
   //   ExecuteRepairPlan  (none)      copy the chunk survivor -> targets
   //   CommitRepair       (shard mu)  re-validate, publish the new replica
   //                                  list — or undo if the chunk changed
-  // RepairReplication below and the background MaintenanceService are both
-  // thin drivers over these steps.
+  // RepairReplication, Decommission and the background MaintenanceService
+  // are all thin drivers over these steps.
+  //
+  // A retiring holder (Benefactor::Retire, set by Decommission) is still a
+  // readable copy source but counts toward no chunk's redundancy: a chunk
+  // it holds plans a replacement for it, and the commit that publishes the
+  // replacement drops it from the list and releases its space.
 
   struct RepairPlan {
     ChunkKey key;
-    std::vector<int> survivors;  // alive holders, primary first
+    std::vector<int> survivors;  // alive holders (retiring too), primary first
     std::vector<int> targets;    // reserved destinations
     uint64_t epoch = 0;          // repair epoch of `key` at plan time
     bool incomplete = false;     // alive capacity too low to fully heal
@@ -180,8 +186,9 @@ class Manager {
     uint32_t crc = 0;
     // Erasure-coded chunk: `survivors` is the POSITIONAL fragment map
     // (length k+m, -1 = missing), `targets[i]` is the reserved destination
-    // for fragment position `target_positions[i]`, and `frag_crcs` (when
-    // has_crc) snapshots the per-fragment authoritative checksums.
+    // for fragment position `target_positions[i]` (a hole, or a position a
+    // retiring holder still fills), and `frag_crcs` (when has_crc)
+    // snapshots the per-fragment authoritative checksums.
     bool ec = false;
     std::vector<uint32_t> target_positions;
     std::vector<uint32_t> frag_crcs;
@@ -195,8 +202,9 @@ class Manager {
     std::vector<int> corrupt_sources;
   };
 
-  // Every distinct chunk key whose replica list names a dead benefactor or
-  // is shorter than the replication factor (lost chunks excluded).
+  // Every distinct chunk key whose replica list names a dead or retiring
+  // benefactor or is shorter than the replication factor (lost chunks
+  // excluded).
   // Shards are visited one at a time; the result is sorted by key so it
   // does not depend on the shard count or hash iteration order.
   std::vector<ChunkKey> CollectUnderReplicated() const;
@@ -205,22 +213,18 @@ class Manager {
   // Build repair plans for `keys`, each under its shard's mutex: strip
   // dead replicas from the metadata immediately (readers stop trying
   // them), reclaim their space, and reserve targets on the least-loaded
-  // alive benefactors (capacity-aware placement).  A chunk with no
-  // surviving replica is counted in *lost, its list emptied, and no plan
-  // emitted; stale keys (freed or already healthy) are skipped.
-  // The clock-taking overload charges WAL appends (lost / dead-strip
-  // publishes are logged); the clock-less one keeps legacy callers
-  // compiling and is exactly equivalent when no WAL is attached.
+  // alive, non-retiring benefactors (capacity-aware placement) — one per
+  // missing copy, counting a retiring holder's copy as missing.  A chunk
+  // with no surviving replica is counted in *lost, its list emptied, and
+  // no plan emitted; stale keys (freed or already healthy) are skipped.
+  // WAL appends (lost / dead-strip publishes are logged) charge `clock`.
   std::vector<RepairPlan> PlanRepairs(sim::VirtualClock& clock,
                                       std::span<const ChunkKey> keys,
                                       uint64_t* lost = nullptr);
-  std::vector<RepairPlan> PlanRepairs(std::span<const ChunkKey> keys,
-                                      uint64_t* lost = nullptr) {
-    sim::VirtualClock wal_clock(0);
-    return PlanRepairs(wal_clock, keys, lost);
-  }
   // Copy the chunk from a surviving replica to every planned target,
-  // charging `clock`; target copies fork clocks and join at the max.
+  // charging `clock`; target copies fork clocks and join at the max.  An
+  // EC target whose position a retiring holder still fills copies that
+  // fragment verbatim; only holes cost a k-fragment rebuild.
   // Called WITHOUT any lock — this is the slow part.
   RepairOutcome ExecuteRepairPlan(sim::VirtualClock& clock,
                                   const RepairPlan& plan);
@@ -232,15 +236,13 @@ class Manager {
   // retry.  *requeue is also set when fewer targets were published than
   // planned (no readable survivor, or a target died mid-copy) so the
   // chunk does not silently leave the repair queue while degraded.
+  // Retiring holders leave the list once the rest meet the redundancy
+  // target (EC: once a written target takes over their position): the
+  // new list is logged and published first, then their space released.
   // Returns replicas recreated.
   uint64_t CommitRepair(sim::VirtualClock& clock,
                         const RepairOutcome& outcome,
                         bool* requeue = nullptr);
-  uint64_t CommitRepair(const RepairOutcome& outcome,
-                        bool* requeue = nullptr) {
-    sim::VirtualClock wal_clock(0);
-    return CommitRepair(wal_clock, outcome, requeue);
-  }
 
   // Repair replication after failures: for every chunk that lost replicas
   // to dead benefactors, re-copy the data from a surviving replica onto
@@ -294,9 +296,8 @@ class Manager {
   // A reader saw a checksum mismatch on (key, bid): quarantine that
   // replica (strip it from the list, drop its data and space) and, when a
   // survivor remains, queue a repair.  Never called with a shard mutex
-  // held.  The clock-taking overload charges the quarantine's WAL append.
+  // held.  The quarantine's WAL append charges `clock`.
   void ReportCorrupt(sim::VirtualClock& clock, const ChunkKey& key, int bid);
-  void ReportCorrupt(const ChunkKey& key, int bid, int64_t now_ns);
 
   // Corrupt replicas detected (read path + scrub, cumulative) and corrupt
   // chunks healed back to full replication by the repair engine.
@@ -337,10 +338,18 @@ class Manager {
 
   // Decommission a benefactor for maintenance/upgrade (the paper's
   // "aggregation ... allows for ... easy system hardware upgrades or
-  // re-configuration"): migrate every chunk it holds to the surviving
-  // benefactors, rewrite the placement metadata, then retire it.  Holds
-  // every shard mutex for the duration (rare, operator-driven).  Returns
-  // the number of chunks migrated.
+  // re-configuration"): a driver over the repair engine, like
+  // RepairReplication.  It marks the benefactor retiring (one ascending
+  // pass over the shard mutexes, metadata only), then plans, copies and
+  // commits a replacement for every copy it holds, re-scanning for a
+  // bounded number of rounds (which also catches copy-on-write versions
+  // made meanwhile).  No shard mutex is held across a copy, and a chunk
+  // with a write in flight is not moved until the write completes.  The
+  // benefactor is killed only once no list names it; otherwise the drain
+  // returns an error (OutOfSpace when no target could be reserved,
+  // Unavailable when commits kept losing to writes), the benefactor stays
+  // alive and retiring, and a retry finishes the drain.  Returns the
+  // number of replicas (EC: fragments) recreated.
   StatusOr<uint64_t> Decommission(sim::VirtualClock& clock, int id);
 
   // --- namespace ---
@@ -381,9 +390,8 @@ class Manager {
   // copy-on-write decision per chunk: a chunk shared with a checkpoint
   // gets a fresh version.  Result order matches `indices`.  On error no
   // write is left open; on success every returned location MUST be
-  // completed (CompleteWrite / CompleteWrites) once the replica transfers
-  // finish (success or failure) — the open prepare fences the repair
-  // engine off the chunk.
+  // completed (CompleteWrites) once the replica transfers finish (success
+  // or failure) — the open prepare fences the repair engine off the chunk.
   StatusOr<std::vector<WriteLocation>> PrepareWriteBatch(
       sim::VirtualClock& clock, FileId id, std::span<const uint32_t> indices);
   StatusOr<WriteLocation> PrepareWrite(sim::VirtualClock& clock, FileId id,
@@ -392,43 +400,25 @@ class Manager {
                          PrepareWriteBatch(clock, id, {&chunk_index, 1}));
     return std::move(locs.front());
   }
-  // The write prepared for `key` has finished moving data (or given up):
-  // drops the in-flight-writer fence and moves the repair epoch, so a
-  // repair copy taken while the write was in flight can never commit.
-  // `crc` (when non-null) becomes the chunk's authoritative checksum —
-  // callers pass it only when at least one replica holds the data.  The
-  // clock-taking overload logs the checksum transition (set OR erase) to
-  // the WAL before publishing it; the clock-less one keeps legacy callers
-  // compiling and is identical when no WAL is attached.  For an
-  // erasure-coded chunk `frag_crcs` (k+m entries, positional) carries the
-  // per-fragment checksums that become authoritative alongside `crc`.
-  void CompleteWrite(sim::VirtualClock& clock, const ChunkKey& key,
-                     const uint32_t* crc = nullptr,
-                     std::span<const uint32_t> frag_crcs = {});
-  void CompleteWrite(const ChunkKey& key, const uint32_t* crc = nullptr) {
-    sim::VirtualClock wal_clock(0);
-    CompleteWrite(wal_clock, key, crc);
-  }
-  // Batch variant: the involved shard set is locked once, in ascending
-  // index order, and the whole prepared window completes in that one lock
-  // pass.  `crcs` (parallel to locs; may be empty) carries the flush-time
-  // checksums, recorded per chunk only where `ok` (parallel; may be empty
-  // = all ok) says the data landed.  For an erasure-coded window
-  // `frag_crcs` carries ec_fragments() positional fragment checksums per
-  // loc, back to back, recorded alongside each chunk's checksum.  One
-  // batched WAL record covers the whole window, appended before any
+  // The writes prepared for `locs` (a window, or a single chunk) have
+  // finished moving data (or given up): drops each in-flight-writer fence
+  // and moves the repair epoch, so a repair copy taken while a write was
+  // in flight can never commit.  The involved shard set is locked once,
+  // in ascending index order, and the whole window completes in that one
+  // lock pass.  `crcs` (parallel to locs; may be empty) carries the
+  // flush-time checksums, each becoming the chunk's authoritative one only
+  // where `ok` (parallel; may be empty = all ok) says the data landed on
+  // at least one replica; elsewhere the stale checksum is erased.  For an
+  // erasure-coded window `frag_crcs` carries ec_fragments() positional
+  // fragment checksums per loc, back to back, recorded alongside each
+  // chunk's checksum.  One batched WAL record covers the durable checksum
+  // transitions (set or erase) of the whole window, appended before any
   // in-memory mutation.
   void CompleteWrites(sim::VirtualClock& clock,
                       std::span<const WriteLocation> locs,
                       std::span<const uint32_t> crcs = {},
                       std::span<const char> ok = {},
                       std::span<const uint32_t> frag_crcs = {});
-  void CompleteWrites(std::span<const WriteLocation> locs,
-                      std::span<const uint32_t> crcs = {},
-                      std::span<const char> ok = {}) {
-    sim::VirtualClock wal_clock(0);
-    CompleteWrites(wal_clock, locs, crcs, ok);
-  }
 
   // --- checkpoint support ---
 
@@ -465,7 +455,7 @@ class Manager {
   RecoveryReport Recover(sim::VirtualClock& clock);
 
  private:
-  // Repair and migrate data movement: a write run of one landing the whole
+  // Repair data movement: a write run of one landing the whole
   // `image` of `key` (a chunk or one erasure fragment) on `to`, streamed
   // from `from_node` and admitted to QoS before the wire, storing `crc`
   // (when non-null) as the blob's checksum.  Charged to `clock` as
@@ -485,7 +475,7 @@ class Manager {
   // mutex (PublishReplicasLocked), LOADS take no lock.  Every other field
   // is guarded by the owning shard's mutex.  The in-flight-writer fences
   // and reserved repair targets deliberately live in per-shard side maps,
-  // NOT here: both must survive the chunk's last unref (a CompleteWrite
+  // NOT here: both must survive the chunk's last unref (a CompleteWrites
   // races an unlink; a planned repair target must stay scrub-exempt until
   // its commit), while epoch/checksum/corruption state dies with the
   // chunk.
@@ -529,7 +519,7 @@ class Manager {
     // CommitRepair refuses to publish (requeues): the in-flight write
     // could still land bytes on a survivor that the copied targets would
     // miss.  Side map (not a handle field): the fence must survive an
-    // unlink so the paired CompleteWrite still finds it.
+    // unlink so the paired CompleteWrites still finds it.
     std::unordered_map<ChunkKey, uint32_t, ChunkKeyHash> inflight_writers;
     // Reserved targets of repair plans between PlanRepairs and
     // CommitRepair (duplicates possible when racing drivers plan the same
@@ -616,6 +606,12 @@ class Manager {
   std::vector<PlacementCandidate> BuildPlacementCandidates(
       const std::vector<Benefactor*>& bens,
       const std::vector<char>* suspected) const;
+  // Whether a chunk whose list (replicas, or EC positional map) is `list`
+  // is short of full redundancy yet repairable: a dead or retiring holder,
+  // an EC hole, or fewer replicas than the factor.  A lost chunk (empty
+  // list, or fewer than k live fragments) is not — nothing can repair it.
+  bool Degraded(bool ec, const std::vector<int>& list,
+                const std::vector<Benefactor*>& bens) const;
   // Bytes one member of `key`'s location list reserves on its benefactor:
   // a full chunk for a replica, one fragment for an erasure-coded chunk.
   uint64_t ChunkResBytes(bool ec) const {
@@ -629,7 +625,7 @@ class Manager {
   // published list.
   void UndoRepairTargetLocked(MetaShard& shard, const ChunkKey& key, int bid,
                               uint64_t bytes);
-  // Shard-mutex-held core of CompleteWrite.
+  // Shard-mutex-held core of CompleteWrites for one chunk.
   void CompleteWriteLocked(MetaShard& shard, const ChunkKey& key,
                            const uint32_t* crc = nullptr,
                            std::span<const uint32_t> frag_crcs = {});

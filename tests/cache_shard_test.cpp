@@ -11,6 +11,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -339,6 +340,59 @@ TEST_F(CacheShardTest, ScriptedFillSequencePinsCountersAndVirtualTime) {
   EXPECT_EQ(ablation.traffic().fetched_chunks.load(), 1u);
   EXPECT_EQ(ablation.traffic().hit_chunks.load(), 0u);
   EXPECT_EQ(clock.now() - t0, 12'131'269);
+}
+
+TEST_F(CacheShardTest, EvictionWindowIgnoresInsertOrder) {
+  // A dirty eviction victim drains with other dirty chunks of its file in
+  // one write-back window of at most 32 chunks.  Which chunks join it, and
+  // so the modelled time of the fill that forced it, must depend only on
+  // what is dirty, not on the order the shard's slots were inserted in.
+  constexpr uint32_t kResident = 40;
+  FuseliteConfig config;
+  config.cache_bytes = kResident * kChunk;
+  config.cache_shards = 1;
+  config.readahead = false;
+  const auto data = Pattern((kResident + 1) * kChunk, 61);
+  struct Outcome {
+    std::vector<uint32_t> flushed;  // chunk indices the eviction wrote back
+    int64_t elapsed_ns = 0;
+  };
+  auto run = [&](bool ascending) {
+    Rebuild(config);
+    auto f = mount_->Create("/order", (kResident + 1) * kChunk);
+    EXPECT_TRUE(f.ok());
+    ChunkCache& cache = mount_->cache();
+    sim::VirtualClock clock;
+    auto write = [&](uint32_t i) {
+      EXPECT_TRUE(cache
+                      .Write(clock, f->id(), i * kChunk,
+                             {data.data() + i * kChunk, kChunk})
+                      .ok());
+    };
+    write(0);  // the LRU victim in both orders
+    for (uint32_t n = 1; n < kResident; ++n) {
+      write(ascending ? n : kResident - n);
+    }
+    const int64_t t0 = clock.now();
+    write(kResident);  // one over capacity: evicts chunk 0
+    Outcome out;
+    out.elapsed_ns = clock.now() - t0;
+    std::vector<uint8_t> got(kChunk);
+    for (uint32_t i = 0; i < kResident; ++i) {
+      EXPECT_TRUE(mount_->client().ReadChunk(clock, f->id(), i, got).ok());
+      if (std::equal(got.begin(), got.end(), data.begin() + i * kChunk)) {
+        out.flushed.push_back(i);
+      }
+    }
+    return out;
+  };
+  const Outcome up = run(/*ascending=*/true);
+  const Outcome down = run(/*ascending=*/false);
+  std::vector<uint32_t> lowest(32);
+  std::iota(lowest.begin(), lowest.end(), 0u);
+  EXPECT_EQ(up.flushed, lowest);
+  EXPECT_EQ(down.flushed, lowest);
+  EXPECT_EQ(up.elapsed_ns, down.elapsed_ns);
 }
 
 }  // namespace

@@ -503,6 +503,138 @@ TEST(DecommissionTest, ChargesDataMovementTime) {
   EXPECT_GT(clock.now() - before, 4 * 500'000);
 }
 
+TEST(DecommissionTest, WritePreparedBeforeDrainIsNeverLost) {
+  // A write prepared before the drain names the draining holder.  Moving
+  // the chunk while that write is in flight would copy the old bytes and
+  // publish them; the drain must wait for the completion instead.
+  Rig rig(/*replication=*/2);
+  auto& m = rig.store->manager();
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  auto& clock = sim::CurrentClock();
+  auto id = c.Create(clock, "/inflight");
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(c.Fallocate(clock, *id, kChunk).ok());
+  Bitmap all(kChunk / c.config().page_bytes);
+  all.SetAll();
+  const auto old_bytes = Pattern(kChunk, 31);
+  ASSERT_TRUE(c.WriteChunkPages(clock, *id, 0, all, old_bytes).ok());
+
+  const uint32_t index = 0;
+  auto prepared = m.PrepareWriteBatch(clock, *id, {&index, 1});
+  ASSERT_TRUE(prepared.ok());
+  const store::WriteLocation loc = prepared->front();
+  ASSERT_EQ(loc.benefactors.size(), 2u);
+  const int primary = loc.benefactors.front();
+  (void)m.Decommission(clock, primary);  // may refuse while the write flies
+
+  const auto new_bytes = Pattern(kChunk, 32);
+  const uint32_t crc = Crc32c(new_bytes.data(), new_bytes.size());
+  std::vector<char> landed(1, 0);
+  for (int bid : loc.benefactors) {
+    if (rig.store->benefactor(static_cast<size_t>(bid))
+            .WritePages(clock, loc.key, all, new_bytes, &crc)
+            .ok()) {
+      landed[0] = 1;
+    }
+  }
+  m.CompleteWrites(clock, *prepared, {&crc, 1}, landed);
+
+  const auto read_fresh = [&](std::vector<uint8_t>& got) {
+    store::StoreClient fresh(*rig.cluster, m, /*local_node=*/0);
+    return fresh.ReadChunk(clock, *id, 0, got);
+  };
+  std::vector<uint8_t> got(kChunk);
+  const Status read = read_fresh(got);
+  if (read.ok()) {
+    EXPECT_NE(got, old_bytes) << "the drain lost a completed write";
+    EXPECT_EQ(got, new_bytes);
+  }
+
+  // Once the write has completed, a retried drain finishes and the chunk
+  // keeps its new bytes.
+  ASSERT_TRUE(m.Decommission(clock, primary).ok());
+  EXPECT_FALSE(rig.store->benefactor(static_cast<size_t>(primary)).alive());
+  EXPECT_EQ(rig.store->benefactor(static_cast<size_t>(primary)).num_chunks(),
+            0u);
+  ASSERT_TRUE(read_fresh(got).ok());
+  EXPECT_EQ(got, new_bytes);
+}
+
+TEST(DecommissionTest, ErasureCodedDrainCopiesFragmentsAndKeepsSpread) {
+  // RS(4,2) over 7 benefactors, one per node: draining one holder moves
+  // each of its fragments verbatim (no k-fragment rebuild), and the new
+  // holder never shares a node with another fragment of the stripe.
+  constexpr int kBens = 7;
+  constexpr uint32_t kChunks = 12;
+  Rig rig(/*replication=*/1, kBens, /*maintenance=*/false,
+          [](store::StoreConfig& cfg) {
+            cfg.redundancy = store::RedundancyMode::kErasure;
+            cfg.ec_k = 4;
+            cfg.ec_m = 2;
+          });
+  auto& m = rig.store->manager();
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  auto& clock = sim::CurrentClock();
+  auto id = c.Create(clock, "/ec-drain");
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(c.Fallocate(clock, *id, kChunks * kChunk).ok());
+  const auto data = Pattern(kChunks * kChunk, 33);
+  Bitmap all(kChunk / c.config().page_bytes);
+  all.SetAll();
+  for (uint32_t i = 0; i < kChunks; ++i) {
+    ASSERT_TRUE(c.WriteChunkPages(clock, *id, i, all,
+                                  {data.data() + i * kChunk, kChunk})
+                    .ok());
+  }
+
+  const int victim = 2;
+  const size_t held =
+      rig.store->benefactor(static_cast<size_t>(victim)).num_chunks();
+  ASSERT_GT(held, 0u);
+  uint64_t others_out = 0;
+  for (int b = 0; b < kBens; ++b) {
+    if (b != victim) others_out += rig.store->benefactor(b).data_bytes_out();
+  }
+  const uint64_t rebuilt_before = m.ec_fragments_repaired();
+  auto moved = m.Decommission(clock, victim);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_EQ(*moved, held);
+  EXPECT_EQ(m.ec_fragments_repaired() - rebuilt_before, held);
+  EXPECT_EQ(rig.store->benefactor(victim).num_chunks(), 0u);
+  EXPECT_FALSE(rig.store->benefactor(victim).alive());
+  // Only the drained holder's own fragments were read.
+  uint64_t others_after = 0;
+  for (int b = 0; b < kBens; ++b) {
+    if (b != victim) others_after += rig.store->benefactor(b).data_bytes_out();
+  }
+  EXPECT_EQ(others_after, others_out);
+
+  auto locs = m.GetReadLocations(clock, *id, 0, kChunks);
+  ASSERT_TRUE(locs.ok());
+  for (const store::ReadLocation& loc : *locs) {
+    ASSERT_EQ(loc.benefactors.size(), 6u);
+    std::vector<int> nodes;
+    for (int bid : loc.benefactors) {
+      ASSERT_GE(bid, 0) << loc.key.ToString();
+      ASSERT_NE(bid, victim) << loc.key.ToString();
+      nodes.push_back(
+          rig.store->benefactor(static_cast<size_t>(bid)).node_id());
+    }
+    std::sort(nodes.begin(), nodes.end());
+    EXPECT_EQ(std::adjacent_find(nodes.begin(), nodes.end()), nodes.end())
+        << "two fragments of " << loc.key.ToString() << " share a node";
+  }
+
+  store::StoreClient fresh(*rig.cluster, m, /*local_node=*/0);
+  std::vector<uint8_t> got(kChunk);
+  for (uint32_t i = 0; i < kChunks; ++i) {
+    ASSERT_TRUE(fresh.ReadChunk(clock, *id, i, got).ok()) << "chunk " << i;
+    EXPECT_EQ(0, std::memcmp(got.data(), data.data() + i * kChunk, kChunk))
+        << "chunk " << i;
+  }
+  EXPECT_EQ(fresh.ec_degraded_reads(), 0u);
+}
+
 // ---- replication repair ----
 
 TEST(RepairTest, RestoresReplicationAfterLoss) {

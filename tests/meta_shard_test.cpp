@@ -17,6 +17,7 @@
 
 #include "common/rng.hpp"
 #include "sim/clock.hpp"
+#include "common/bitmap.hpp"
 #include "store/store.hpp"
 
 namespace nvm {
@@ -147,7 +148,7 @@ TEST(MetaShardTest, ShardCountInvisibleToMetadataResults) {
     const std::vector<uint32_t> window = {0, 2, 3, 5};
     auto wl = m.PrepareWriteBatch(clock, a, window);
     ASSERT_TRUE(wl.ok());
-    m.CompleteWrites(*wl);
+    m.CompleteWrites(clock, *wl);
     // Unlink /b and recreate a smaller file in its place.
     ASSERT_TRUE(m.Unlink(clock, b).ok());
     const store::FileId b2 =
@@ -229,7 +230,7 @@ TEST(MetaShardTest, WriteLandingDuringRepairCopyCannotCommitStaleBytes) {
   auto wloc = m.PrepareWrite(clock, id, 0);
   ASSERT_TRUE(wloc.ok());
 
-  auto plans = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plans = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plans.size(), 1u);
   ASSERT_EQ(plans[0].targets.size(), 1u);
   const int target = plans[0].targets[0];
@@ -243,10 +244,10 @@ TEST(MetaShardTest, WriteLandingDuringRepairCopyCannotCommitStaleBytes) {
   ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(survivor))
                   .WritePages(wc, key, all, v2)
                   .ok());
-  m.CompleteWrite(wloc->key);
+  m.CompleteWrites(clock, {&*wloc, 1});
 
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(out, &requeue), 0u);
+  EXPECT_EQ(m.CommitRepair(clock, out, &requeue), 0u);
   EXPECT_TRUE(requeue);
   EXPECT_FALSE(
       rig.store->benefactor(static_cast<size_t>(target)).HasChunk(key));
@@ -279,15 +280,15 @@ TEST(MetaShardTest, OpenWriteFencesRepairCommit) {
 
   auto wloc = m.PrepareWrite(clock, id, 0);
   ASSERT_TRUE(wloc.ok());
-  auto plans = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plans = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plans.size(), 1u);
   auto out = m.ExecuteRepairPlan(clock, plans[0]);
 
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(out, &requeue), 0u);
+  EXPECT_EQ(m.CommitRepair(clock, out, &requeue), 0u);
   EXPECT_TRUE(requeue);
 
-  m.CompleteWrite(wloc->key);
+  m.CompleteWrites(clock, {&*wloc, 1});
   auto recreated = m.RepairReplication(clock);
   ASSERT_TRUE(recreated.ok());
   EXPECT_EQ(*recreated, 1u);
@@ -306,7 +307,7 @@ TEST(MetaShardTest, ScrubSparesInFlightRepairTargets) {
   const store::ChunkKey key = loc0->key;
   rig.store->benefactor(static_cast<size_t>(loc0->benefactors[1])).Kill();
 
-  auto plans = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plans = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plans.size(), 1u);
   ASSERT_EQ(plans[0].targets.size(), 1u);
   const auto target = static_cast<size_t>(plans[0].targets[0]);
@@ -321,7 +322,7 @@ TEST(MetaShardTest, ScrubSparesInFlightRepairTargets) {
   EXPECT_TRUE(rig.store->benefactor(target).HasChunk(key));
 
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(out, &requeue), 1u);
+  EXPECT_EQ(m.CommitRepair(clock, out, &requeue), 1u);
   EXPECT_FALSE(requeue);
   ExpectFullyReplicated(rig, id, 1, 2);
   scrub = m.ScrubOnce(clock);
@@ -352,8 +353,8 @@ TEST(MetaShardTest, RacingRepairsSameTargetKeepThePublishedReplica) {
   ASSERT_TRUE(
       rig.store->benefactor(static_cast<size_t>(spare)).ReserveChunks(16).ok());
 
-  auto plansA = m.PlanRepairs(std::vector<store::ChunkKey>{key});
-  auto plansB = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plansA = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
+  auto plansB = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plansA.size(), 1u);
   ASSERT_EQ(plansB.size(), 1u);
   ASSERT_EQ(plansA[0].targets, plansB[0].targets);
@@ -361,13 +362,13 @@ TEST(MetaShardTest, RacingRepairsSameTargetKeepThePublishedReplica) {
   ASSERT_EQ(target, forced);
 
   auto outA = m.ExecuteRepairPlan(clock, plansA[0]);
-  EXPECT_EQ(m.CommitRepair(outA), 1u);
+  EXPECT_EQ(m.CommitRepair(clock, outA), 1u);
 
   const uint64_t used_mid =
       rig.store->benefactor(static_cast<size_t>(target)).bytes_used();
   auto outB = m.ExecuteRepairPlan(clock, plansB[0]);
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(outB, &requeue), 0u);
+  EXPECT_EQ(m.CommitRepair(clock, outB, &requeue), 0u);
   EXPECT_TRUE(requeue);
   EXPECT_TRUE(
       rig.store->benefactor(static_cast<size_t>(target)).HasChunk(key));
@@ -402,7 +403,7 @@ TEST(MetaShardTest, LastSurvivorDeathBetweenPlanAndCopyRequeues) {
   const store::ChunkKey key = loc0->key;
   rig.store->benefactor(static_cast<size_t>(loc0->benefactors[1])).Kill();
 
-  auto plans = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plans = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plans.size(), 1u);
   ASSERT_EQ(plans[0].targets.size(), 1u);
   const auto target = static_cast<size_t>(plans[0].targets[0]);
@@ -412,12 +413,13 @@ TEST(MetaShardTest, LastSurvivorDeathBetweenPlanAndCopyRequeues) {
   EXPECT_EQ(out.failed.size(), 1u);
 
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(out, &requeue), 0u);
+  EXPECT_EQ(m.CommitRepair(clock, out, &requeue), 0u);
   EXPECT_TRUE(requeue);
   EXPECT_FALSE(rig.store->benefactor(target).HasChunk(key));
 
   uint64_t lost = 0;
-  EXPECT_TRUE(m.PlanRepairs(std::vector<store::ChunkKey>{key}, &lost).empty());
+  EXPECT_TRUE(
+      m.PlanRepairs(clock, std::vector<store::ChunkKey>{key}, &lost).empty());
   EXPECT_EQ(lost, 1u);
 }
 
@@ -477,7 +479,7 @@ TEST(MetaShardConcurrencyTest, ParallelResolversAndWritersStayCoherent) {
         if (rng.NextBelow(3) == 0) {
           auto wl = m.PrepareWriteBatch(clock, files[t], window);
           ASSERT_TRUE(wl.ok());
-          m.CompleteWrites(*wl);
+          m.CompleteWrites(clock, *wl);
         } else {
           // Resolve a random peer's file: readers cross writer shards.
           const store::FileId id = files[rng.NextBelow(kThreads)];
@@ -512,6 +514,96 @@ TEST(MetaShardConcurrencyTest, ParallelResolversAndWritersStayCoherent) {
   auto scrub = m.ScrubOnce(sim::CurrentClock());
   EXPECT_EQ(scrub.orphans_deleted, 0u);
   EXPECT_EQ(scrub.reservation_fixes, 0u);
+}
+
+TEST(MetaShardConcurrencyTest, DrainRacingWritersLosesNoWrite) {
+  // A decommission runs while four threads rewrite and read back their own
+  // files.  The drain moves data through the repair engine with no shard
+  // mutex held across a copy, so it must neither publish a copy that
+  // misses a racing write nor leave reservations behind.
+  Rig rig(/*replication=*/2);
+  store::Manager& m = rig.store->manager();
+  constexpr int kThreads = 4;
+  constexpr uint32_t kChunksPerFile = 6;
+  constexpr int kRounds = 24;
+  constexpr int kVictim = 2;
+
+  std::vector<store::FileId> files;
+  {
+    sim::VirtualClock clock(0);
+    for (int t = 0; t < kThreads; ++t) {
+      files.push_back(WriteStoreFile(
+          rig.store->ClientForNode(t), "/dr" + std::to_string(t),
+          kChunksPerFile, Pattern(kChunksPerFile * kChunk, 300 + t), clock));
+    }
+  }
+
+  std::vector<std::vector<uint8_t>> last(kThreads);
+  std::atomic<int> rounds_done{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      sim::VirtualClock clock(0);
+      store::StoreClient& c = rig.store->ClientForNode(t);
+      std::vector<Bitmap> dirty(kChunksPerFile,
+                                Bitmap(kChunk / c.config().page_bytes));
+      for (Bitmap& d : dirty) d.SetAll();
+      std::vector<uint8_t> got(kChunk);
+      for (int r = 0; r < kRounds; ++r) {
+        const auto image =
+            Pattern(kChunksPerFile * kChunk, 1000 * (t + 1) + r);
+        std::vector<store::StoreClient::ChunkWrite> writes(kChunksPerFile);
+        for (uint32_t i = 0; i < kChunksPerFile; ++i) {
+          writes[i].index = i;
+          writes[i].dirty = &dirty[i];
+          writes[i].image = {image.data() + i * kChunk, kChunk};
+        }
+        ASSERT_TRUE(c.WriteChunks(clock, files[t], writes).ok());
+        for (uint32_t i = 0; i < kChunksPerFile; ++i) {
+          ASSERT_TRUE(writes[i].status.ok()) << "chunk " << i;
+          ASSERT_TRUE(c.ReadChunk(clock, files[t], i, got).ok())
+              << "chunk " << i;
+          ASSERT_EQ(0, std::memcmp(got.data(), image.data() + i * kChunk,
+                                   kChunk))
+              << "thread " << t << " round " << r << " chunk " << i;
+        }
+        last[t] = image;
+        rounds_done.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  // Start draining once every writer is under way.  The drain may give up
+  // while writes keep its chunks fenced; once the writers are done a
+  // retry must finish it.
+  while (rounds_done.load(std::memory_order_relaxed) < kThreads) {
+    std::this_thread::yield();
+  }
+  sim::VirtualClock drain_clock(0);
+  bool drained = m.Decommission(drain_clock, kVictim).ok();
+  for (std::thread& w : workers) w.join();
+  for (int attempt = 0; attempt < 3 && !drained; ++attempt) {
+    drained = m.Decommission(drain_clock, kVictim).ok();
+  }
+  ASSERT_TRUE(drained);
+  EXPECT_FALSE(rig.store->benefactor(kVictim).alive());
+  EXPECT_EQ(rig.store->benefactor(kVictim).num_chunks(), 0u);
+  EXPECT_EQ(rig.store->benefactor(kVictim).bytes_used(), 0u);
+
+  sim::VirtualClock clock(0);
+  store::StoreClient fresh(*rig.cluster, m, /*local_node=*/0);
+  std::vector<uint8_t> got(kChunk);
+  for (int t = 0; t < kThreads; ++t) {
+    ExpectFullyReplicated(rig, files[t], kChunksPerFile, 2);
+    for (uint32_t i = 0; i < kChunksPerFile; ++i) {
+      ASSERT_TRUE(fresh.ReadChunk(clock, files[t], i, got).ok());
+      EXPECT_EQ(0, std::memcmp(got.data(), last[t].data() + i * kChunk,
+                               kChunk))
+          << "file " << t << " chunk " << i << " lost its last write";
+    }
+  }
+  auto scrub = m.ScrubOnce(clock);
+  EXPECT_EQ(scrub.reservation_fixes, 0u);
+  EXPECT_EQ(scrub.orphans_deleted, 0u);
 }
 
 TEST(MetaShardConcurrencyTest, FallocateRacingScrubKeepsReservationsExact) {

@@ -586,6 +586,71 @@ TEST(CrashMatrix, MidRepairCommitLeavesRepairRedoable) {
   ASSERT_NO_FATAL_FAILURE(CheckInvariants(rig, shadow, /*expect_full=*/true));
 }
 
+TEST(CrashMatrix, MidDrainCommitNeverNamesADeletedCopy) {
+  // A decommission drains through the repair engine with the WAL on.  A
+  // write prepared on one of the drained chunks keeps the drain from
+  // finishing, and the WAL freezes at its first CommitRepair, so none of
+  // the replacement lists survives the crash.  Recovery must come back
+  // with lists whose live holders all hold the chunk's bytes, serve every
+  // chunk, and a retried drain on the fresh manager must finish the job.
+  Rig rig;
+  sim::VirtualClock clock(0);
+  constexpr uint32_t kChunks = 6;
+  const store::FileId id = MakeFile(rig, clock, "/d0", kChunks);
+  std::vector<std::vector<uint8_t>> data;
+  for (uint32_t i = 0; i < kChunks; ++i) {
+    data.push_back(Pattern(60 + i));
+    ASSERT_TRUE(WriteChunk(rig.client(), clock, id, i, data.back()).ok());
+  }
+
+  store::Manager& m = rig.store.manager();
+  auto locs = m.GetReadLocations(clock, id, 0, kChunks);
+  ASSERT_TRUE(locs.ok());
+  const int victim = (*locs)[0].benefactors[0];
+  const uint32_t fenced = 0;
+  ASSERT_TRUE(m.PrepareWriteBatch(clock, id, {&fenced, 1}).ok());
+
+  rig.store.wal()->CrashAtPoint(CrashPoint::kMidRepairCommit);
+  EXPECT_FALSE(m.Decommission(clock, victim).ok());  // chunk 0 is fenced
+  ASSERT_TRUE(rig.store.wal()->crashed());
+  store::Benefactor& leaving =
+      rig.store.benefactor(static_cast<size_t>(victim));
+  EXPECT_TRUE(leaving.alive());
+  EXPECT_TRUE(leaving.retiring());
+
+  rig.store.KillManager();
+  auto report = rig.store.RestartManager(clock);
+  EXPECT_EQ(report.chunks_lost, 0u);
+
+  store::Manager& m2 = rig.store.manager();
+  auto recovered = m2.GetReadLocations(clock, id, 0, kChunks);
+  ASSERT_TRUE(recovered.ok());
+  for (const store::ReadLocation& loc : *recovered) {
+    uint32_t want = 0;
+    ASSERT_TRUE(m2.LookupChecksum(loc.key, &want)) << loc.key.ToString();
+    for (int b : loc.benefactors) {
+      store::Benefactor& ben = rig.store.benefactor(static_cast<size_t>(b));
+      uint32_t got = 0;
+      ASSERT_TRUE(ben.alive());
+      ASSERT_TRUE(ben.StoredContentCrc(loc.key, &got))
+          << loc.key.ToString() << " names benefactor " << b
+          << ", which holds no copy";
+      EXPECT_EQ(got, want) << loc.key.ToString() << " on " << b;
+    }
+  }
+  Shadow shadow;
+  shadow["/d0"] = {id, data};
+  ASSERT_NO_FATAL_FAILURE(ExpectBytes(rig, clock, shadow));
+
+  // The retiring flag lives on the benefactor, so the fresh manager keeps
+  // placing around it, and a retried drain finishes.
+  ASSERT_TRUE(m2.Decommission(clock, victim).ok());
+  EXPECT_FALSE(leaving.alive());
+  EXPECT_EQ(leaving.num_chunks(), 0u);
+  ASSERT_NO_FATAL_FAILURE(ExpectBytes(rig, clock, shadow));
+  ASSERT_NO_FATAL_FAILURE(CheckInvariants(rig, shadow, /*expect_full=*/true));
+}
+
 TEST(CrashMatrix, MidCheckpointFallsBackToPreviousCheckpointPlusReplay) {
   Rig rig;
   sim::VirtualClock clock(0);
@@ -957,18 +1022,18 @@ TEST(Regression, CompletionLogsOnlyDurableChecksumTransitions) {
 
   WalStore* wal = rig.store.wal();
   const uint64_t base = wal->appends();
-  m.CompleteWrite(clock, loc->key, nullptr);  // never had a crc: no-op
+  m.CompleteWrites(clock, {&*loc, 1});  // never had a crc: no-op
   EXPECT_EQ(wal->appends(), base);
 
   uint32_t crc = 0x1234abcd;
   auto loc2 = m.PrepareWrite(clock, *id, 0);
   ASSERT_TRUE(loc2.ok());
-  m.CompleteWrite(clock, loc2->key, &crc);  // crc set: logged
+  m.CompleteWrites(clock, {&*loc2, 1}, {&crc, 1});  // crc set: logged
   EXPECT_EQ(wal->appends(), base + 1);
 
   auto loc3 = m.PrepareWrite(clock, *id, 0);
   ASSERT_TRUE(loc3.ok());
-  m.CompleteWrite(clock, loc3->key, nullptr);  // crc ERASED: logged
+  m.CompleteWrites(clock, {&*loc3, 1});  // crc ERASED: logged
   EXPECT_EQ(wal->appends(), base + 2);
 
   rig.store.KillManager();
