@@ -19,6 +19,13 @@
 //       pages; RS(4,2) re-encodes and rewrites every touched stripe in
 //       full, but needs no read-modify-write fetch, and both modes pay one
 //       metadata round trip per window.
+//   (e) the same windows again, each right after a checkpoint link, so
+//       every chunk they touch copies on write.  Replication still ships
+//       the dirty pages; an RS(4,2) stripe ships each holder only the
+//       pages of its fragment that changed (the data fragment's dirty
+//       page, and that page offset of each parity fragment), and every
+//       holder reads its fragment of the shared version and programs the
+//       merged one.
 // Both datasets are read back byte-exact afterwards so the overhead
 // numbers describe stores that actually work.
 //
@@ -27,6 +34,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -49,9 +57,13 @@ struct ModeResult {
   double write_gbps = 0;  // logical bytes / virtual write time
   double write_amp = 0;   // device bytes ingested / logical bytes
   double space_amp = 0;   // device bytes at rest / logical bytes
-  // Random small writes: virtual time and metadata round trips per window.
+  // Random small writes: virtual time, metadata round trips and payload
+  // bytes shipped per window, in place and copy-on-write.
   double window_us = 0;
   double window_rtts = 0;
+  double window_kib = 0;
+  double cow_window_us = 0;
+  double cow_window_kib = 0;
 };
 
 ModeResult RunMode(bool ec) {
@@ -106,41 +118,65 @@ ModeResult RunMode(bool ec) {
   }
 
   // Random small writes: g_chunks/16 windows of 16 distinct random chunks,
-  // one random page each, flushed over wholly valid images.
+  // one random page each, flushed over wholly valid images — first in
+  // place, then each window right after a checkpoint link.
   const size_t pages = kChunk / client.config().page_bytes;
+  const uint32_t windows = g_chunks / kWindowChunks;
+  // Window w touches plan[w][i] = {chunk, page}, drawn on the first pass.
+  std::vector<std::vector<std::pair<uint32_t, size_t>>> plan(windows);
   Bitmap dirty_proto(pages);
   std::vector<Bitmap> dirty(kWindowChunks, dirty_proto);
   std::vector<store::StoreClient::ChunkWrite> writes(kWindowChunks);
-  const uint32_t windows = g_chunks / kWindowChunks;
+  // Returns the virtual time spent in the windows' flushes.
+  const auto run_windows = [&](bool cow) {
+    int64_t flush_ns = 0;
+    for (auto& window : plan) {
+      const bool draw = window.empty();
+      std::vector<uint32_t> picked;
+      while (draw && picked.size() < kWindowChunks) {
+        const auto c = static_cast<uint32_t>(rng.Next() % g_chunks);
+        if (std::find(picked.begin(), picked.end(), c) == picked.end()) {
+          picked.push_back(c);
+        }
+      }
+      for (uint32_t i = 0; i < kWindowChunks; ++i) {
+        if (draw) window.emplace_back(picked[i], rng.Next() % pages);
+        const auto [chunk, page] = window[i];
+        uint8_t* bytes = data.data() + chunk * kChunk;
+        for (uint64_t b = 0; b < client.config().page_bytes; ++b) {
+          bytes[page * client.config().page_bytes + b] =
+              static_cast<uint8_t>(rng.Next());
+        }
+        dirty[i] = dirty_proto;
+        dirty[i].Set(page);
+        writes[i].index = chunk;
+        writes[i].dirty = &dirty[i];
+        writes[i].valid = &all;
+        writes[i].image = {bytes, kChunk};
+      }
+      store::FileId ckpt = store::kInvalidFileId;
+      if (cow) {
+        auto made = client.Create(clock, "/ckpt");
+        NVM_CHECK(made.ok());
+        ckpt = *made;
+        NVM_CHECK(client.LinkFileChunks(clock, ckpt, id).ok());
+      }
+      const int64_t t0 = clock.now();
+      NVM_CHECK(client.WriteChunks(clock, id, writes).ok());
+      for (const auto& wr : writes) NVM_CHECK(wr.status.ok());
+      flush_ns += clock.now() - t0;
+      if (cow) NVM_CHECK(client.Unlink(clock, ckpt).ok());
+    }
+    return flush_ns;
+  };
   const uint64_t rtts0 = client.meta_round_trips();
-  const int64_t s0 = clock.now();
-  for (uint32_t w = 0; w < windows; ++w) {
-    std::vector<uint32_t> picked;
-    while (picked.size() < kWindowChunks) {
-      const auto c = static_cast<uint32_t>(rng.Next() % g_chunks);
-      if (std::find(picked.begin(), picked.end(), c) == picked.end()) {
-        picked.push_back(c);
-      }
-    }
-    for (uint32_t i = 0; i < kWindowChunks; ++i) {
-      const size_t page = rng.Next() % pages;
-      uint8_t* bytes = data.data() + picked[i] * kChunk;
-      for (uint64_t b = 0; b < client.config().page_bytes; ++b) {
-        bytes[page * client.config().page_bytes + b] =
-            static_cast<uint8_t>(rng.Next());
-      }
-      dirty[i] = dirty_proto;
-      dirty[i].Set(page);
-      writes[i].index = picked[i];
-      writes[i].dirty = &dirty[i];
-      writes[i].valid = &all;
-      writes[i].image = {bytes, kChunk};
-    }
-    NVM_CHECK(client.WriteChunks(clock, id, writes).ok());
-    for (const auto& wr : writes) NVM_CHECK(wr.status.ok());
-  }
-  const int64_t small_ns = clock.now() - s0;
+  const uint64_t shipped0 = client.bytes_flushed();
+  const int64_t small_ns = run_windows(/*cow=*/false);
   const uint64_t small_rtts = client.meta_round_trips() - rtts0;
+  const uint64_t small_shipped = client.bytes_flushed() - shipped0;
+  const uint64_t cow_shipped0 = client.bytes_flushed();
+  const int64_t cow_ns = run_windows(/*cow=*/true);
+  const uint64_t cow_shipped = client.bytes_flushed() - cow_shipped0;
 
   // Byte-exact read-back: the cheaper mode still has to return the data.
   std::vector<uint8_t> buf(kChunk);
@@ -158,6 +194,9 @@ ModeResult RunMode(bool ec) {
       static_cast<double>(at_rest) / static_cast<double>(logical);
   r.window_us = static_cast<double>(small_ns) / 1e3 / windows;
   r.window_rtts = static_cast<double>(small_rtts) / windows;
+  r.window_kib = static_cast<double>(small_shipped) / 1024.0 / windows;
+  r.cow_window_us = static_cast<double>(cow_ns) / 1e3 / windows;
+  r.cow_window_kib = static_cast<double>(cow_shipped) / 1024.0 / windows;
   return r;
 }
 
@@ -191,14 +230,19 @@ int main(int argc, char** argv) {
   Note("RS(4,2) stores (k+m)/k = 1.5 device bytes per logical byte yet "
        "tolerates two losses; replication pays 2.0x for one.");
 
-  Table small({"mode", "Window time (us)", "Metadata RTTs / window"});
-  small.AddRow({"replication r=2", Fmt("%.1f", repl.window_us),
-                Fmt("%.2f", repl.window_rtts)});
-  small.AddRow({"RS(4,2)", Fmt("%.1f", ec.window_us),
-                Fmt("%.2f", ec.window_rtts)});
+  Table small({"mode", "Window time (us)", "Metadata RTTs / window",
+               "Shipped (KiB) / window", "COW window time (us)",
+               "COW shipped (KiB) / window"});
+  for (const auto& [name, r] : {std::pair{"replication r=2", repl},
+                                std::pair{"RS(4,2)", ec}}) {
+    small.AddRow({name, Fmt("%.1f", r.window_us), Fmt("%.2f", r.window_rtts),
+                  Fmt("%.1f", r.window_kib), Fmt("%.1f", r.cow_window_us),
+                  Fmt("%.1f", r.cow_window_kib)});
+  }
   small.Print();
   Note("Random small writes: windows of %u chunks, one dirty page each, "
-       "images wholly valid.",
+       "images wholly valid; the COW columns repeat each window right after "
+       "a checkpoint link.",
        kWindowChunks);
 
   bool ok = true;
@@ -223,6 +267,14 @@ int main(int argc, char** argv) {
               "an RS(4,2) small-write window costs one metadata round trip "
               "(%.2f)",
               ec.window_rtts);
+  // A copy-on-write stripe ships each holder only its fragment's changed
+  // pages: one dirty page costs 1 data + m parity pages.  The bound is
+  // what shipping whole only the 1+m fragments a one-page write touches
+  // would cost, so it holds with room to spare.
+  ok &= Shape(ec.cow_window_kib <= ec.window_kib * (1.0 + 2) / (4 + 2),
+              "an RS(4,2) copy-on-write window ships at most (1+m)/(k+m) of "
+              "the in-place window's payload (%.1f <= %.1f KiB)",
+              ec.cow_window_kib, ec.window_kib * (1.0 + 2) / (4 + 2));
 
   JsonReport json("ec_overhead");
   json.Add("quick", quick);
@@ -236,6 +288,12 @@ int main(int argc, char** argv) {
   json.Add("repl_smallwrite_rtts_per_window", repl.window_rtts);
   json.Add("ec_smallwrite_window_us", ec.window_us);
   json.Add("ec_smallwrite_rtts_per_window", ec.window_rtts);
+  json.Add("repl_smallwrite_kib_per_window", repl.window_kib);
+  json.Add("ec_smallwrite_kib_per_window", ec.window_kib);
+  json.Add("repl_cow_window_us", repl.cow_window_us);
+  json.Add("repl_cow_kib_per_window", repl.cow_window_kib);
+  json.Add("ec_cow_window_us", ec.cow_window_us);
+  json.Add("ec_cow_kib_per_window", ec.cow_window_kib);
   json.Add("shape_ok", ok);
   json.Print();
   return ok ? 0 : 1;

@@ -231,12 +231,16 @@ void BM_ReadChunkRun(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadChunkRun)->Arg(1)->Arg(8);
 
-// Host cost of one erasure-coded flush window of range(0) RS(4,2) stripes
-// over six benefactors, one dirty page each over an image the caller holds
-// whole: the stripe encode and fragment checksums, one prepare, and one
-// fragment run per benefactor.
+// Host cost of one erasure-coded flush window of `stripes` RS(4,2)
+// stripes over six benefactors, one dirty page each over an image the
+// caller holds whole: the stripe encode and fragment checksums, one
+// prepare, and one fragment run per benefactor.  With `cow` every stripe
+// is shared with a checkpoint linked (untimed) before each window, so it
+// copies on write: each holder merges its changed pages into a clone of
+// its fragment of the shared version.
 void BM_EcFlushWindow(benchmark::State& state) {
   const auto stripes = static_cast<uint32_t>(state.range(0));
+  const bool cow = state.range(1) != 0;
   net::ClusterConfig cc;
   cc.num_nodes = 7;
   net::Cluster cluster(cc);
@@ -270,13 +274,32 @@ void BM_EcFlushWindow(benchmark::State& state) {
                   .ok());
   }
   for (auto _ : state) {
+    store::FileId ckpt = store::kInvalidFileId;
+    if (cow) {
+      state.PauseTiming();
+      auto made = client.Create(clock, "/ecw.ckpt");
+      NVM_CHECK(made.ok());
+      ckpt = *made;
+      NVM_CHECK(client.LinkFileChunks(clock, ckpt, *id).ok());
+      state.ResumeTiming();
+    }
     benchmark::DoNotOptimize(client.WriteChunks(clock, *id, writes));
     benchmark::ClobberMemory();
+    if (cow) {
+      state.PauseTiming();
+      NVM_CHECK(client.Unlink(clock, ckpt).ok());
+      state.ResumeTiming();
+    }
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(images.size()));
 }
-BENCHMARK(BM_EcFlushWindow)->Arg(1)->Arg(16);
+BENCHMARK(BM_EcFlushWindow)
+    ->ArgNames({"stripes", "cow"})
+    ->Args({1, 0})
+    ->Args({16, 0})
+    ->Args({1, 1})
+    ->Args({16, 1});
 
 struct CacheFixtureState {
   std::unique_ptr<net::Cluster> cluster;

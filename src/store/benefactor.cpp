@@ -142,8 +142,8 @@ void Benefactor::MaybeCorruptAfterWrite() {
     return corrupt_rng_;
   };
   StoredChunk& victim = chunks_[keys[next() % keys.size()]];
-  const uint64_t byte = next() % victim.data.size();
-  victim.data[byte] ^= static_cast<uint8_t>(1u << (next() % 8));
+  const uint64_t byte = next() % victim.size;
+  victim.Mutable(victim.size)[byte] ^= static_cast<uint8_t>(1u << (next() % 8));
   bitrot_flips_.Add(1);
 }
 
@@ -157,27 +157,27 @@ Status Benefactor::CorruptChunk(const ChunkKey& key, uint64_t byte_offset,
   if (it == chunks_.end()) {
     return NotFound("no stored chunk " + key.ToString() + " to corrupt");
   }
-  if (byte_offset >= it->second.data.size()) {
+  if (byte_offset >= it->second.size) {
     return InvalidArgument("CorruptChunk: offset past stored blob");
   }
-  it->second.data[byte_offset] ^= xor_mask;
+  it->second.Mutable(it->second.size)[byte_offset] ^= xor_mask;
   bitrot_flips_.Add(1);
   return OkStatus();
 }
 
 Benefactor::CopyOut Benefactor::CopyOutLocked(const StoredChunk& chunk,
                                               std::span<uint8_t> out) const {
-  NVM_CHECK(chunk.data.size() == out.size(), "stored blob is %zu bytes, read "
-            "asks for %zu", chunk.data.size(), out.size());
+  NVM_CHECK(chunk.size == out.size(), "stored blob is %zu bytes, read "
+            "asks for %zu", chunk.size, out.size());
   CopyOut copy;
   copy.offset = chunk.ssd_offset;
   copy.verified = config_.verify_reads && chunk.has_crc;
   if (copy.verified) {
     // One pass: the bytes hashed are exactly the bytes delivered.
     copy.intact =
-        Crc32cCopy(out.data(), chunk.data.data(), out.size()) == chunk.crc;
+        Crc32cCopy(out.data(), chunk.data().data(), out.size()) == chunk.crc;
   } else {
-    std::memcpy(out.data(), chunk.data.data(), out.size());
+    std::memcpy(out.data(), chunk.data().data(), out.size());
   }
   return copy;
 }
@@ -207,10 +207,22 @@ Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
     ChunkRunItem item;
     item.key = key;
     std::optional<CopyOut> copy;
+    bool quarantined = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = chunks_.find(key);
-      if (it != chunks_.end()) copy = CopyOutLocked(it->second, out);
+      if (it != chunks_.end()) {
+        copy = CopyOutLocked(it->second, out);
+      } else {
+        quarantined = quarantined_.contains(key);
+      }
+    }
+    if (quarantined) {
+      // The copy was stripped as corrupt, but the reader's location still
+      // names it: its absence is not a hole, and zeros would be wrong
+      // bytes.  The caller fails over and drops the stale location.
+      return NotFound("benefactor " + std::to_string(id_) + ": " +
+                      key.ToString() + " was quarantined here");
     }
     if (!copy) {
       // Sparse chunk: the stream carries only the "no such chunk" marker,
@@ -261,75 +273,126 @@ Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
 }
 
 Benefactor::MergeResult Benefactor::MergeDirtyPages(
-    sim::VirtualClock& clock, const ChunkKey& key, const Bitmap& dirty,
-    std::span<const uint8_t> data, const uint32_t* crc, uint32_t* stored_crc) {
+    sim::VirtualClock& clock, const ChunkWriteItem& item) {
   MergeResult result;
+  const Bitmap& dirty = *item.dirty;
+  const std::span<const uint8_t> data = item.data;
   const uint64_t blob = data.size();
+  const uint64_t page = config_.page_bytes;
   const size_t dirty_pages = dirty.PopCount();
   const bool full_image = dirty_pages == dirty.size();
   bool verified_base = false;
   bool hashed_merge = false;
+  bool certified = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = chunks_.find(key);
-    if (it == chunks_.end()) {
-      StoredChunk chunk;
-      // A fresh chunk reads as zeros outside its dirty pages; a full-image
-      // write overwrites every byte below, so it skips the zero-fill.
-      if (!full_image) chunk.data.assign(blob, 0);
-      chunk.ssd_offset = AllocateOffset();
-      it = chunks_.emplace(key, std::move(chunk)).first;
-    } else {
-      NVM_CHECK(it->second.data.size() == blob,
-                "blob size changed under %s", key.ToString().c_str());
+    auto it = chunks_.find(item.key);
+    // The image the dirty pages land on: the stored one in place, the
+    // shared version's for a copy-on-write item (absent: a hole, zeros).
+    const StoredChunk* base = nullptr;
+    if (item.needs_clone) {
+      auto src = chunks_.find(item.clone_from);
+      if (src != chunks_.end()) base = &src->second;
+    } else if (it != chunks_.end()) {
+      base = &it->second;
     }
-    StoredChunk& chunk = it->second;
-    if (config_.integrity() && chunk.has_crc && dirty_pages > 0 &&
-        !full_image) {
+    NVM_CHECK(base == nullptr || base->size == blob,
+              "blob size changed under %s", item.key.ToString().c_str());
+    if (item.needs_clone && item.has_crc && !full_image) {
+      // The client's checksum covers the merged blob it expects: derive
+      // the merged one from the base's recorded checksum and the dirty
+      // pages alone (no rehash of the base), and land nothing unless they
+      // agree — a missing or stale base, or rot under a dirty page, fails
+      // the item so the client resends the blob whole.
+      certified = base != nullptr && base->has_crc;
+      if (certified) {
+        uint32_t derived = base->crc;
+        dirty.ForEachSet([&](size_t p) {
+          derived = Crc32cUpdate(derived, blob, p * page,
+                                 base->data().data() + p * page,
+                                 data.data() + p * page, page);
+        });
+        certified = derived == item.crc;
+      }
+      // The old and the new dirty pages were hashed.
+      clock.Advance(config_.checksum_ns(2 * dirty_pages * page));
+      if (!certified) {
+        result.corrupt = true;
+        return result;
+      }
+    } else if (config_.integrity() && base != nullptr && base->has_crc &&
+               dirty_pages > 0 && !full_image) {
       // Partial-dirty merge onto an existing image: verify the base first.
       // Recomputing the merged checksum over unverified clean pages would
       // launder bit rot into a fresh, matching checksum — the one state no
       // scrub could ever catch.
       verified_base = true;
-      result.base_corrupt =
-          Crc32c(chunk.data.data(), chunk.data.size()) != chunk.crc;
+      if (Crc32c(base->data().data(), blob) != base->crc) {
+        result.corrupt = true;
+        clock.Advance(config_.checksum_ns(blob));
+        return result;
+      }
     }
-    if (!result.base_corrupt) {
-      result.offset = chunk.ssd_offset;
-      // Past half the chunk, hashing the dirty pages twice (old and new
-      // bytes) costs more than rehashing the merged image once.
-      const bool derive = verified_base && 2 * dirty_pages <= dirty.size();
-      uint32_t merged_crc = chunk.crc;
-      if (full_image) {
-        chunk.data.assign(data.begin(), data.end());
+
+    if (it == chunks_.end()) {
+      StoredChunk chunk;
+      chunk.ssd_offset = AllocateOffset();
+      it = chunks_.emplace(item.key, std::move(chunk)).first;
+    }
+    // A landed write supersedes any quarantine of the key here.
+    quarantined_.erase(item.key);
+    StoredChunk& chunk = it->second;
+    if (item.needs_clone && !full_image) {
+      // The fresh version starts as the base (its bytes and recorded
+      // checksum) and is programmed whole below.
+      if (base != nullptr) {
+        chunk.bytes = base->bytes;
+        chunk.size = blob;
       } else {
-        dirty.ForEachSet([&](size_t page) {
-          const uint64_t off = page * config_.page_bytes;
-          if (derive) {
-            merged_crc = Crc32cUpdate(merged_crc, chunk.data.size(), off,
-                                      chunk.data.data() + off,
-                                      data.data() + off, config_.page_bytes);
-          }
-          std::memcpy(chunk.data.data() + off, data.data() + off,
-                      config_.page_bytes);
-        });
+        std::memset(chunk.Mutable(blob, /*keep=*/false), 0, blob);
       }
-      result.pages_written = dirty_pages;
-      if (config_.integrity() && dirty_pages > 0) {
-        if (crc != nullptr && full_image) {
-          // Full-image write: the client already computed (and paid for)
-          // the checksum of exactly these bytes — store it verbatim.
-          chunk.crc = *crc;
-        } else {
-          // The stored image is a merge of old and new pages, so the
-          // checksum must cover the merged result.
-          chunk.crc = derive ? merged_crc
-                             : Crc32c(chunk.data.data(), chunk.data.size());
-          hashed_merge = true;
+      chunk.has_crc = base != nullptr && base->has_crc;
+      chunk.crc = base != nullptr ? base->crc : 0;
+    } else if (chunk.bytes == nullptr && !full_image) {
+      // A fresh chunk reads as zeros outside its dirty pages; a full-image
+      // write overwrites every byte below, so it skips the zero-fill.
+      std::memset(chunk.Mutable(blob, /*keep=*/false), 0, blob);
+    }
+    result.offset = chunk.ssd_offset;
+    // Past half the chunk, hashing the dirty pages twice (old and new
+    // bytes) costs more than rehashing the merged image once.
+    const bool derive = verified_base && 2 * dirty_pages <= dirty.size();
+    uint32_t merged_crc = chunk.crc;
+    if (full_image) {
+      std::memcpy(chunk.Mutable(blob, /*keep=*/false), data.data(), blob);
+    } else if (dirty_pages > 0) {
+      uint8_t* bytes = chunk.Mutable(blob);
+      dirty.ForEachSet([&](size_t p) {
+        const uint64_t off = p * page;
+        if (derive) {
+          merged_crc = Crc32cUpdate(merged_crc, blob, off, bytes + off,
+                                    data.data() + off, page);
         }
-        chunk.has_crc = true;
+        std::memcpy(bytes + off, data.data() + off, page);
+      });
+    }
+    result.bytes = item.needs_clone ? blob : dirty_pages * page;
+    if (config_.integrity() && dirty_pages > 0) {
+      if (item.has_crc && (full_image || certified)) {
+        // A full image, or a certified merge: the client already computed
+        // (and paid for) the checksum of exactly these bytes — store it
+        // verbatim.
+        chunk.crc = item.crc;
+      } else {
+        // The stored image is a merge of old and new pages, so the
+        // checksum must cover the merged result.
+        chunk.crc = derive ? merged_crc : Crc32c(chunk.data().data(), blob);
+        hashed_merge = true;
       }
-      if (stored_crc != nullptr && chunk.has_crc) *stored_crc = chunk.crc;
+      chunk.has_crc = true;
+    }
+    if (item.stored_crc != nullptr && chunk.has_crc) {
+      *item.stored_crc = chunk.crc;
     }
   }
   if (verified_base) clock.Advance(config_.checksum_ns(blob));
@@ -355,7 +418,7 @@ Status Benefactor::VerifyChunk(sim::VirtualClock& clock, const ChunkKey& key,
       return OkStatus();
     }
     // Hashed in place: the verdict is all that leaves the lock.
-    const std::vector<uint8_t>& data = it->second.data;
+    const std::span<const uint8_t> data = it->second.data();
     bytes = data.size();
     offset = it->second.ssd_offset;
     intact = Crc32c(data.data(), data.size()) == expected_crc;
@@ -380,95 +443,73 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
   NVM_RETURN_IF_ERROR(EnsureAlive());
   write_requests_.Add(1);
   const int64_t t0 = clock.now();
-  bool first_data_chunk = true;
+  // The run occupies one device queueing slot: the first read pays the
+  // per-request read latency, the first program the write latency, and
+  // the rest stream at bandwidth.
+  bool first_read = true;
+  bool first_program = true;
   for (const ChunkWriteItem& item : items) {
     // A crash between chunks takes down the rest of the run: the caller
     // sees one UNAVAILABLE for the whole run and must treat every item as
     // unwritten on this replica.
     NVM_RETURN_IF_ERROR(EnsureAlive());
     NVM_CHECK(item.dirty != nullptr);
-    NVM_CHECK(IsBlobSize(item.data.size()));
-    NVM_CHECK(item.dirty->size() * config_.page_bytes == item.data.size());
+    const uint64_t blob = item.data.size();
+    NVM_CHECK(IsBlobSize(blob));
+    NVM_CHECK(item.dirty->size() * config_.page_bytes == blob);
+    const uint64_t dirty_bytes = item.dirty->PopCount() * config_.page_bytes;
 
     if (item.needs_clone) {
-      // The clone instruction is its own control message; the local copy
-      // must complete before the dirty pages can land on the fresh version.
+      // The clone instruction is its own control message; the shared
+      // version's blob is read off the device as soon as it arrives,
+      // while the dirty pages stream in behind it.
       const int64_t instr_at =
           send(RunMsg::kControl, t0, config_.meta_request_bytes);
       clock.AdvanceTo(instr_at);
-      NVM_RETURN_IF_ERROR(
-          CloneChunk(clock, item.clone_from, item.key, tenant));
+      std::optional<uint64_t> src_offset;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto src = chunks_.find(item.clone_from);
+        if (src != chunks_.end()) src_offset = src->second.ssd_offset;
+      }
+      if (src_offset) {  // a hole reads as zeros without the device
+        AdmitTransfer(clock, tenant, blob, /*is_write=*/false,
+                      /*wire_bytes=*/0);
+        node_.ssd().ChargeRead(clock, *src_offset, blob, first_read);
+        first_read = false;
+      }
     }
 
-    const uint64_t dirty_bytes = item.dirty->PopCount() * config_.page_bytes;
-    // Dirty pages stream from the run's start (the client has them all in
-    // hand at t0); a post-clone payload can only start once the clone has
-    // been instructed and applied.
-    const int64_t arrive = send(RunMsg::kPayload,
-                                item.needs_clone ? clock.now() : t0,
-                                dirty_bytes);
+    // Dirty pages stream from the run's start: the client has them all
+    // in hand at t0.
+    const int64_t arrive = send(RunMsg::kPayload, t0, dirty_bytes);
     clock.AdvanceTo(arrive);
 
-    const MergeResult merge =
-        MergeDirtyPages(clock, item.key, *item.dirty, item.data,
-                        item.has_crc ? &item.crc : nullptr, item.stored_crc);
-    if (merge.base_corrupt) {
+    const MergeResult merge = MergeDirtyPages(clock, item);
+    if (merge.corrupt) {
       // The whole run aborts (the stream protocol has no per-item status);
       // the caller retries each item in a run of its own, where the
-      // corrupt replica is reported and the healthy items still land.
+      // corrupt replica is reported (or the fragment resent whole) and
+      // the healthy items still land.
       return Corrupt("benefactor " + std::to_string(id_) +
                      ": pre-image checksum mismatch merging into " +
                      item.key.ToString() + " mid-run");
     }
-    if (merge.pages_written > 0) {
-      const uint64_t bytes = merge.pages_written * config_.page_bytes;
-      // The run occupies one device queueing slot: the first programmed
-      // chunk pays the per-request write latency, the rest stream at
-      // bandwidth.  No admission here: `send` admitted the payload before
-      // it went on the wire (see AdmitTransfer's contract).
-      node_.ssd().ChargeWrite(clock, merge.offset, bytes, first_data_chunk);
-      first_data_chunk = false;
-      data_bytes_in_.Add(bytes);
+    if (merge.bytes > 0) {
+      // No admission for the payload here: `send` admitted it before it
+      // went on the wire (see AdmitTransfer's contract).  A copy-on-write
+      // item programs its whole blob, so the clean remainder is admitted
+      // now.
+      if (item.needs_clone) {
+        AdmitTransfer(clock, tenant, blob - dirty_bytes, /*is_write=*/true,
+                      /*wire_bytes=*/0);
+      }
+      node_.ssd().ChargeWrite(clock, merge.offset, merge.bytes, first_program);
+      first_program = false;
+      data_bytes_in_.Add(merge.bytes);
       MaybeKillAfterWrite();
       MaybeCorruptAfterWrite();
     }
-  }
-  return OkStatus();
-}
-
-Status Benefactor::CloneChunk(sim::VirtualClock& clock, const ChunkKey& from,
-                              const ChunkKey& to, TenantId tenant) {
-  NVM_RETURN_IF_ERROR(EnsureAlive());
-  uint64_t src_offset = 0;
-  uint64_t dst_offset = 0;
-  bool materialised = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = chunks_.find(from);
-    if (it != chunks_.end()) {
-      StoredChunk clone;
-      clone.data = it->second.data;
-      clone.ssd_offset = AllocateOffset();
-      // The clone inherits the source's checksum: a local copy of bytes
-      // whose crc is already known needs no recompute (any rot in the
-      // source propagates and is caught by the clone's verification).
-      clone.has_crc = it->second.has_crc;
-      clone.crc = it->second.crc;
-      src_offset = it->second.ssd_offset;
-      dst_offset = clone.ssd_offset;
-      chunks_.emplace(to, std::move(clone));
-      materialised = true;
-    }
-    // Cloning a sparse (never-written) chunk needs no data movement: the
-    // clone is sparse too.
-  }
-  if (materialised) {
-    AdmitTransfer(clock, tenant, config_.chunk_bytes, /*is_write=*/false,
-                  /*wire_bytes=*/0);
-    node_.ssd().ChargeRead(clock, src_offset, config_.chunk_bytes);
-    AdmitTransfer(clock, tenant, config_.chunk_bytes, /*is_write=*/true,
-                  /*wire_bytes=*/0);
-    node_.ssd().ChargeWrite(clock, dst_offset, config_.chunk_bytes);
   }
   return OkStatus();
 }
@@ -490,7 +531,7 @@ bool Benefactor::StoredContentCrc(const ChunkKey& key, uint32_t* crc) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = chunks_.find(key);
   if (it == chunks_.end()) return false;
-  *crc = Crc32c(it->second.data.data(), it->second.data.size());
+  *crc = Crc32c(it->second.data().data(), it->second.data().size());
   return true;
 }
 
@@ -508,12 +549,22 @@ Status Benefactor::DeleteChunk(const ChunkKey& key) {
   // Deletion is allowed even on a dead benefactor: the manager is cleaning
   // up its metadata and the data is already unreachable.
   std::lock_guard<std::mutex> lock(mutex_);
+  DeleteChunkLocked(key);
+  return OkStatus();
+}
+
+void Benefactor::QuarantineChunk(const ChunkKey& key) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  DeleteChunkLocked(key);
+  quarantined_.insert(key);
+}
+
+void Benefactor::DeleteChunkLocked(const ChunkKey& key) {
   auto it = chunks_.find(key);
   if (it != chunks_.end()) {
     free_offsets_.push_back(it->second.ssd_offset);
     chunks_.erase(it);
   }
-  return OkStatus();
 }
 
 }  // namespace nvm::store

@@ -9,9 +9,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/bitmap.hpp"
@@ -74,7 +77,9 @@ class Benefactor {
   // checksum_bw_gbps), so the bytes checked are exactly the bytes
   // delivered.  A chunk that was reserved but never written reads as
   // zeros without touching the device (the backing file is sparse) and is
-  // reported `sparse`, so the client ships only a "no such chunk" marker.
+  // reported `sparse`, so the client ships only a "no such chunk" marker;
+  // a chunk deleted by QuarantineChunk and not written since fails the run
+  // with NOT_FOUND instead (the reader's location is stale).
   // Each chunk is then handed to `sink` in request order, stamped with
   // its device (or verification) completion time.  If the benefactor dies
   // mid-run the whole run fails with UNAVAILABLE.  A chunk failing its
@@ -111,18 +116,26 @@ class Benefactor {
   // messages via `send` (clone instructions as kControl, dirty pages as
   // kPayload; the first payload also carries the run header) and admits
   // each payload before it goes on the wire: the NIC pipelines them in
-  // order while the device serialises on `clock`, and only the first
-  // programmed chunk pays the per-request write latency.  Each item lands
-  // only its dirty pages on the stored chunk (materialising it if absent)
-  // and only those are charged to the device — the write-optimisation
-  // path of Table VII.  An item's crc is stored verbatim when its dirty
-  // set covers the whole blob; otherwise (partial write, or no crc) the
-  // benefactor checksums the merged image, charging the checksum CPU
-  // cost, and `stored_crc` returns what was stored — the value the caller
-  // must hand the manager as authoritative.  If the benefactor dies
-  // mid-run the whole run fails with UNAVAILABLE, and a partial item whose
-  // stored base fails its checksum fails it with CORRUPT; either way the
-  // caller must treat every item as unwritten on this replica.
+  // order while the device serialises on `clock`, and only the run's
+  // first read and first program pay the per-request latencies.  Each
+  // item lands only its dirty pages on the stored chunk (materialising it
+  // if absent) and only those are charged to the device — the
+  // write-optimisation path of Table VII.  A copy-on-write item
+  // (`needs_clone`) instead lands as ONE read of the shared version's
+  // blob and ONE program of the fresh version's: the shared bytes with
+  // the dirty pages merged in, both sized to the blob.  An item's crc is
+  // stored verbatim when its dirty set covers the whole blob.  A partial
+  // copy-on-write item's crc is that of the merged blob: the benefactor
+  // derives the merged checksum from the base's recorded one
+  // (Crc32cUpdate over the dirty pages), and unless they agree nothing
+  // lands and the item fails with CORRUPT (a missing or stale base, or
+  // rot under a dirty page).  Any other partial item makes the benefactor
+  // checksum the merged image, charging the checksum CPU cost, after
+  // verifying a checksummed base; `stored_crc` returns what was stored —
+  // the value the caller must hand the manager as authoritative.  If the
+  // benefactor dies mid-run the whole run fails with UNAVAILABLE, and an
+  // item whose base fails its checksum fails it with CORRUPT; either way
+  // the caller must treat every item as unwritten on this replica.
   Status WriteChunkRun(sim::VirtualClock& clock,
                        std::span<const ChunkWriteItem> items,
                        const ChunkRunSend& send,
@@ -138,14 +151,13 @@ class Benefactor {
     return WriteChunkRun(clock, {&item, 1}, LocalRunSend, tenant);
   }
 
-  // Copy-on-write support: duplicate `from` under key `to` locally
-  // (device read + write of one chunk, no network).
-  Status CloneChunk(sim::VirtualClock& clock, const ChunkKey& from,
-                    const ChunkKey& to,
-                    TenantId tenant = kTenantForeground);
-
   // Drop the chunk (refcount reached zero at the manager).
   Status DeleteChunk(const ChunkKey& key);
+  // Drop the chunk as corrupt (Manager quarantine) and remember it: other
+  // clients' location caches may still name this copy, so until a write
+  // lands the key again a read of it fails with NOT_FOUND instead of
+  // serving the hole as zeros.
+  void QuarantineChunk(const ChunkKey& key);
 
   // --- liveness / failure injection ---
   // Atomic: polled by the maintenance worker's heartbeat sweeps while
@@ -234,12 +246,31 @@ class Benefactor {
 
  private:
   struct StoredChunk {
-    std::vector<uint8_t> data;
+    // The blob's `size` bytes.  A copy-on-write version shares its base's
+    // buffer until either is written — host memory only: the device still
+    // programs the fresh version whole.  Writers go through Mutable().
+    std::shared_ptr<uint8_t[]> bytes;
+    uint64_t size = 0;
     uint64_t ssd_offset = 0;  // position in the device address space
     // Checksum recorded at write time (never recomputed on rot — that is
     // the point: verification compares stored bytes against it).
     bool has_crc = false;
     uint32_t crc = 0;
+
+    std::span<const uint8_t> data() const { return {bytes.get(), size}; }
+    // The blob's own bytes: a fresh `blob`-sized buffer when absent or
+    // shared, holding the old contents when `keep` (else unspecified).
+    uint8_t* Mutable(uint64_t blob, bool keep = true) {
+      if (bytes == nullptr || bytes.use_count() > 1) {
+        auto fresh = std::make_shared_for_overwrite<uint8_t[]>(blob);
+        if (keep && bytes != nullptr) {
+          std::memcpy(fresh.get(), bytes.get(), blob);
+        }
+        bytes = std::move(fresh);
+        size = blob;
+      }
+      return bytes.get();
+    }
   };
 
   // A stored blob copied out for a read (CopyOutLocked).
@@ -270,25 +301,28 @@ class Benefactor {
   void MaybeCorruptAfterWrite();
   // Outcome of MergeDirtyPages.
   struct MergeResult {
-    uint64_t offset = 0;        // device offset of the stored chunk
-    size_t pages_written = 0;   // dirty pages landed on the image
-    bool base_corrupt = false;  // nothing landed: the base failed its crc
+    uint64_t offset = 0;    // device offset of the stored chunk
+    uint64_t bytes = 0;     // bytes to program: dirty pages, or the blob
+    bool corrupt = false;   // nothing landed: the base failed its check
   };
-  // The merge step of WriteChunkRun: land the `dirty`
-  // pages of `data` on the stored image of `key` (a fresh zero image when
-  // absent) and record the chunk's checksum — the client's `crc` verbatim
-  // for a full-image write, else the merged image's.  A partial-dirty
-  // merge onto a checksummed image first verifies the base; a mismatch
-  // merges nothing and reports `base_corrupt`.  When few pages are dirty
-  // the merged checksum is derived from the verified base crc and the
-  // dirty pages alone (Crc32cUpdate) instead of rehashing the image.
-  // Charges the modelled checksum CPU on `clock` whatever the host did:
-  // one chunk hash for the base verification and one for the merged
-  // image when the client's crc could not be stored verbatim.
-  MergeResult MergeDirtyPages(sim::VirtualClock& clock, const ChunkKey& key,
-                              const Bitmap& dirty,
-                              std::span<const uint8_t> data,
-                              const uint32_t* crc, uint32_t* stored_crc);
+  // The merge step of WriteChunkRun: land the item's dirty pages on its
+  // base — the stored image of `key` (a fresh zero image when absent), or
+  // for a copy-on-write item the stored image of `clone_from` (zeros when
+  // absent), copied under `key` — and record the checksum.  An item crc
+  // is stored verbatim for a full image and, for a partial copy-on-write
+  // item, only once the checksum derived from the base's is equal to it;
+  // otherwise nothing lands and `corrupt` is reported.  Any other partial
+  // merge onto a checksummed base first verifies the base (a mismatch
+  // merges nothing and reports `corrupt`) and then checksums the merged
+  // image — derived from the verified base crc and the dirty pages alone
+  // (Crc32cUpdate) when few pages are dirty.  Charges the modelled
+  // checksum CPU on `clock` whatever the host did: one blob hash for the
+  // base verification, one for a merged image it checksums, and the old
+  // and new dirty pages for a derivation against the item's crc.
+  MergeResult MergeDirtyPages(sim::VirtualClock& clock,
+                              const ChunkWriteItem& item);
+  // Drop `key`'s stored blob, recycling its device offset (mutex_ held).
+  void DeleteChunkLocked(const ChunkKey& key);
   const int id_;
   net::Node& node_;
   const uint64_t contributed_bytes_;
@@ -297,6 +331,8 @@ class Benefactor {
 
   mutable std::mutex mutex_;
   std::unordered_map<ChunkKey, StoredChunk, ChunkKeyHash> chunks_;
+  // Keys deleted by QuarantineChunk and not written since.
+  std::unordered_set<ChunkKey, ChunkKeyHash> quarantined_;
   // Space accounting is a lone atomic (CAS-bounded by the contribution):
   // reservations are taken on the manager's metadata hot paths (write
   // prepare COW, repair planning, fallocate) and read by every capacity-

@@ -157,6 +157,9 @@ Status StoreClient::ReadFailover(sim::VirtualClock& clock, FileId id,
         InvalidateLocation(id, chunk_index);
         NVM_WLOG("benefactor %d served corrupt %s; trying next replica",
                  bid, loc.key.ToString().c_str());
+      } else if (s.code() == ErrorCode::kNotFound) {
+        // The copy was quarantined since this location was cached.
+        InvalidateLocation(id, chunk_index);
       }
     }
     InvalidateLocation(id, chunk_index);
@@ -187,12 +190,14 @@ void StoreClient::SettleFragment(sim::VirtualClock& clock,
     // The fragment failed its checksum: rot surfaces as CORRUPT, never as
     // wrong bytes in the assembled chunk.  Quarantine it and reconstruct
     // from the survivors.
-    stripe.saw_corrupt = true;
+    stripe.stale = true;
     corrupt_failovers_.Add(1);
     manager_.ReportCorrupt(clock, loc.key, bid);
     NVM_WLOG("benefactor %d served corrupt fragment %zu of %s; "
              "falling over to parity",
              bid, pos, loc.key.ToString().c_str());
+  } else if (s.code() == ErrorCode::kNotFound) {
+    stripe.stale = true;  // quarantined since this location was cached
   }
   stripe.settled = std::max(stripe.settled, clock.now());
 }
@@ -246,8 +251,8 @@ Status StoreClient::ReadStripe(sim::VirtualClock& clock, FileId id,
     }
     clock.AdvanceTo(stripe.settled);
   }
-  if (stripe.saw_corrupt) {
-    // The quarantine punched a hole this cached location still names.
+  if (stripe.stale) {
+    // A quarantine punched a hole this cached location still names.
     InvalidateLocation(id, chunk_index);
   }
   if (stripe.good < k) return stripe.last;
@@ -674,19 +679,18 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
   // from the client image when clean pages were never faulted in).
   std::vector<uint32_t> authority(with_crc ? active.size() : 0, 0);
   std::vector<uint32_t> stored(authority.size(), 0);
-  const auto landed = [&](size_t j, int bid, int64_t at) {
+  // `sent` is the item that landed: the bytes it shipped are counted.
+  const auto landed = [&](size_t j, int bid, int64_t at,
+                          const ChunkWriteItem& sent) {
     const WriteLocation& loc = locs[j];
     if (landed_count[j] == 0 && with_crc) {
       authority[j] = loc.ec ? *crcs[j] : stored[j];
     }
     ++landed_count[j];
-    if (loc.ec) {
-      bytes_flushed_.Add(cfg.ec_frag_bytes());
-      if (FragmentPos(loc.benefactors, bid) >= cfg.ec_k) {
-        parity_bytes[j] += cfg.ec_frag_bytes();
-      }
-    } else {
-      bytes_flushed_.Add(writes[active[j]].dirty->PopCount() * cfg.page_bytes);
+    const uint64_t shipped = sent.dirty->PopCount() * cfg.page_bytes;
+    bytes_flushed_.Add(shipped);
+    if (loc.ec && FragmentPos(loc.benefactors, bid) >= cfg.ec_k) {
+      parity_bytes[j] += shipped;
     }
     done[j] = std::max(done[j], at);
   };
@@ -710,34 +714,74 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
     last_err[j] = s;
   };
 
-  // What item `j` sends `bid`: its dirty pages (cloning first when the
-  // chunk is shared with a checkpoint), or the whole fragment of the
-  // stripe that benefactor holds.
-  Bitmap fragment_pages(cfg.ec_frag_bytes() / cfg.page_bytes);
+  // What item `j` sends each holder.  A replicated chunk: its dirty
+  // pages (a copy-on-write version merges them into a clone of the shared
+  // one).  A stripe rewritten in place: the whole fragment the holder
+  // stores — recovery's "all stored new" adoption of a stripe whose
+  // completion record died needs every position rewritten.  A
+  // checksummed copy-on-write stripe: only the pages of the holder's
+  // fragment that changed, merged into its fragment of the shared version
+  // and certified by the whole fragment's checksum — a data position
+  // sends its own dirty pages, a parity position every in-fragment page
+  // any data position dirtied.  `cow_pages[j]` holds those page sets (k
+  // data positions, then the parity one); empty for every other item.
+  const size_t k = cfg.ec_k;
+  const uint64_t frag_pages_n = cfg.ec_frag_bytes() / cfg.page_bytes;
+  std::vector<std::vector<Bitmap>> cow_pages(active.size());
+  for (size_t j = 0; j < active.size(); ++j) {
+    if (!locs[j].ec || !locs[j].needs_clone || !with_crc) continue;
+    std::vector<Bitmap>& pages = cow_pages[j];
+    pages.assign(k + 1, Bitmap(frag_pages_n));
+    writes[active[j]].dirty->ForEachSet([&](size_t p) {
+      pages[p / frag_pages_n].Set(p % frag_pages_n);
+      pages[k].Set(p % frag_pages_n);
+    });
+  }
+  Bitmap fragment_pages(frag_pages_n);
   fragment_pages.SetAll();
   std::vector<ChunkWriteItem> items;
+  // `whole`: send every position its whole fragment, with no clone.
   const auto write_run = [&](sim::VirtualClock& run_clock, int bid,
-                             std::span<const size_t> run_items) {
+                             std::span<const size_t> run_items, bool whole) {
     items.clear();
     for (size_t j : run_items) {
       const WriteLocation& loc = locs[j];
       if (loc.ec) {
         const size_t pos = FragmentPos(loc.benefactors, bid);
-        items.push_back(MakeWriteItem(
-            loc.key, fragment_pages, stripes[j].frags[pos],
+        const bool merge = !whole && !cow_pages[j].empty();
+        ChunkWriteItem& item = items.emplace_back(MakeWriteItem(
+            loc.key, merge ? cow_pages[j][std::min(pos, k)] : fragment_pages,
+            stripes[j].frags[pos],
             with_crc ? &frag_crcs[j * cfg.ec_fragments() + pos] : nullptr));
+        item.needs_clone = merge;
+        item.clone_from = loc.clone_from;
         continue;
       }
       const ChunkWrite& w = writes[active[j]];
-      ChunkWriteItem item = MakeWriteItem(
+      ChunkWriteItem& item = items.emplace_back(MakeWriteItem(
           loc.key, *w.dirty, w.image,
           with_crc && crcs[j] ? &*crcs[j] : nullptr,
-          with_crc ? &stored[j] : nullptr);
+          with_crc ? &stored[j] : nullptr));
       item.needs_clone = loc.needs_clone;
       item.clone_from = loc.clone_from;
-      items.push_back(item);
     }
     return WriteRun(run_clock, bid, items);
+  };
+
+  // Settle item `j`'s attempt in a run of its own on `bid`, whose outcome
+  // is `s`.  A fragment holder that could not certify its merge (its copy
+  // of the shared version is missing or stale) gets the whole fragment,
+  // with no clone.
+  const auto settle_one = [&](sim::VirtualClock& at, int bid, size_t j,
+                              Status s) {
+    if (s.code() == ErrorCode::kCorrupt && !cow_pages[j].empty()) {
+      s = write_run(at, bid, {&j, 1}, /*whole=*/true);
+    }
+    if (s.ok()) {
+      landed(j, bid, at.now(), items.front());
+    } else {
+      failed(j, bid, s, at);
+    }
   };
 
   // One streamed run per benefactor (split at max_run_chunks) — every
@@ -747,14 +791,16 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
   for (const BenefactorRun& run :
        Manager::GroupByBenefactor(locs, cfg.max_run_chunks)) {
     sim::VirtualClock run_clock(t0);
-    Status s = write_run(run_clock, run.benefactor, run.items);
+    Status s = write_run(run_clock, run.benefactor, run.items, false);
     if (s.ok()) {
-      for (size_t j : run.items) landed(j, run.benefactor, run_clock.now());
+      for (size_t n = 0; n < run.items.size(); ++n) {
+        landed(run.items[n], run.benefactor, run_clock.now(), items[n]);
+      }
       continue;
     }
     if (run.items.size() == 1) {
       // A run of one is this replica's (or fragment's) only attempt.
-      failed(run.items.front(), run.benefactor, s, run_clock);
+      settle_one(run_clock, run.benefactor, run.items.front(), s);
       continue;
     }
     if (s.code() == ErrorCode::kUnavailable) {
@@ -770,12 +816,8 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
     // benefactor fails fast here.
     for (size_t j : run.items) {
       sim::VirtualClock fallback(t0);
-      Status rs = write_run(fallback, run.benefactor, {&j, 1});
-      if (rs.ok()) {
-        landed(j, run.benefactor, fallback.now());
-      } else {
-        failed(j, run.benefactor, rs, fallback);
-      }
+      settle_one(fallback, run.benefactor, j,
+                 write_run(fallback, run.benefactor, {&j, 1}, false));
     }
   }
 

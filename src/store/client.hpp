@@ -137,11 +137,16 @@ class StoreClient {
   // cache is updated only after a replica holds the data.  The caller
   // joins at the max, then the window's completion is recorded (with a
   // WAL, logged — and then every ready_at is that commit time).
-  // Erasure-coded stores write full stripes: the stripes whose images are
-  // not wholly valid are first read in one batched ReadChunks (the
+  // Erasure-coded stores encode full stripes: the stripes whose images
+  // are not wholly valid are first read in one batched ReadChunks (the
   // read-modify-write), every stripe is encoded and checksummed on the
   // writer's clock, and the k+m fragments of the window then go out like
   // replicas — one run per fragment holder after the one prepare.  A
+  // stripe rewritten in place ships every fragment whole; a copy-on-write
+  // stripe ships each holder only the pages of its fragment that changed
+  // (merged on the benefactor into its fragment of the shared version,
+  // certified by the fragment checksum), and a holder that cannot certify
+  // the merge is resent its whole fragment.  A
   // stripe that landed at least k fragments is a (possibly degraded)
   // success; below k it failed, and its completion records no checksum.
   // Returns non-OK only if the batched prepare fails outright; per-chunk
@@ -249,7 +254,7 @@ class StoreClient {
     std::vector<char> tried;
     std::vector<std::vector<uint8_t>> parity;
     size_t good = 0;
-    bool saw_corrupt = false;
+    bool stale = false;  // the location names a fragment now quarantined
     int64_t settled = 0;  // when the last requested fragment settled
     Status last;          // the latest failure
   };

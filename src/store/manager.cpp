@@ -245,7 +245,7 @@ bool Manager::QuarantineReplicaLocked(sim::VirtualClock& clock,
   // The copy is untrustworthy: drop its data and space immediately so no
   // reader or repair ever consults it again.
   Benefactor* b = BenefactorAt(bid);
-  (void)b->DeleteChunk(key);
+  b->QuarantineChunk(key);
   b->ReleaseBytes(ChunkResBytes(h.ec));
   if (h.ec) {
     const auto live = static_cast<size_t>(
@@ -1693,31 +1693,14 @@ StatusOr<std::vector<ReadLocation>> Manager::GetReadLocations(
   return locs;
 }
 
-StatusOr<WriteLocation> Manager::PrepareWriteSlot(
-    sim::VirtualClock& clock, FileId id, FileMeta& meta, uint32_t chunk_index,
-    const std::vector<char>* suspected) {
-  if (chunk_index >= meta.chunks.size()) {
-    return OutOfRange("chunk " + std::to_string(chunk_index) +
-                      " beyond EOF of '" + meta.name + "'");
-  }
-  std::shared_ptr<ChunkHandle>& slot = meta.chunks[chunk_index];
-  // The COW outcome (version+1) may hash to a different shard than the
-  // current version: lock both up front, ascending, so the refcount check
-  // and the fresh-handle insert happen under one consistent lock set.
-  ChunkKey fresh_key = slot->key;
-  ++fresh_key.version;
-  const size_t so = shard_of(slot->key);
-  const size_t sf = shard_of(fresh_key);
-  std::unique_lock<std::mutex> first(shards_[std::min(so, sf)].mu);
-  std::unique_lock<std::mutex> second;
-  if (so != sf) {
-    second = std::unique_lock<std::mutex>(shards_[std::max(so, sf)].mu);
-  }
-  MetaShard& old_shard = shards_[so];
-  MetaShard& fresh_shard = shards_[sf];
-  ChunkHandle& h = *slot;
+StatusOr<WriteLocation> Manager::PlanWriteSlotLocked(
+    FileMeta& meta, uint32_t chunk_index, const std::vector<char>* suspected,
+    std::shared_ptr<const std::vector<int>>& fresh_list) {
+  ChunkHandle& h = *meta.chunks[chunk_index];
+  MetaShard& old_shard = shards_[shard_of(h.key)];
 
   WriteLocation loc;
+  loc.ec = h.ec;
   if (h.refcount == 1) {
     // Sole owner: write in place.  Bump the repair epoch — a repair copy
     // planned before this write would publish stale bytes, and the moved
@@ -1728,13 +1711,15 @@ StatusOr<WriteLocation> Manager::PrepareWriteSlot(
     ++old_shard.inflight_writers[h.key];
     loc.key = h.key;
     loc.benefactors = *h.replicas.load(std::memory_order_acquire);
-    loc.ec = h.ec;
     return loc;
   }
 
   // Shared with a checkpoint: copy-on-write.  The live file always carries
   // the highest version for its slot, so version+1 is fresh.
-  NVM_CHECK(!fresh_shard.chunks.contains(fresh_key), "COW version collision");
+  loc.key = h.key;
+  ++loc.key.version;
+  NVM_CHECK(!shards_[shard_of(loc.key)].chunks.contains(loc.key),
+            "COW version collision");
 
   // The clone stays on the same benefactors (local device copy, no
   // network); reserve space for the new version on every replica, rolling
@@ -1749,7 +1734,7 @@ StatusOr<WriteLocation> Manager::PrepareWriteSlot(
   // shortened list is ordinary tracked under-replication the scrubber
   // re-queues for repair.  Knob off: the inherited immutable snapshot is
   // reused verbatim.
-  std::shared_ptr<const std::vector<int>> fresh_list = replicas;
+  fresh_list = replicas;
   if (config_.placement_avoid_suspected && !h.ec) {
     // Replicated chunks only: an EC fragment map is positional, so the
     // fresh version inherits it verbatim (a dead or suspected holder is
@@ -1784,39 +1769,11 @@ StatusOr<WriteLocation> Manager::PrepareWriteSlot(
     }
     ++reserved;
   }
-  // Log the swap before any of it becomes visible (the reservations above
-  // are benefactor-side state recovery reconciles wholesale).  After a
-  // crash the durable slot points at the fresh version; if its data never
-  // landed anywhere, recovery rolls the slot back to `old_key` — the
-  // chunk reads old bytes or new bytes, never a mix, never zeros.
-  WalRecord rec;
-  rec.type = WalRecordType::kCowSwap;
-  rec.file_id = id;
-  rec.slot = chunk_index;
-  rec.old_key = h.key;
-  rec.key = fresh_key;
-  rec.replicas = *fresh_list;
-  LogAppend(clock, std::move(rec));
-  --h.refcount;  // live file drops its reference to the shared version
-  auto nh = std::make_shared<ChunkHandle>(fresh_key);
-  nh->refcount = 1;
-  nh->repair_epoch = 1;  // the COW write targets the fresh version
-  nh->ec = h.ec;
-  // The fresh version shares the (immutable) replica snapshot — or, when
-  // the placement engine dropped holders, its filtered copy.
-  nh->replicas.store(fresh_list, std::memory_order_release);
-  fresh_shard.inflight_writers[fresh_key] = 1;  // fenced until write lands
-  fresh_shard.chunks.emplace(fresh_key, nh);
-
-  // Erasure stripes are always rewritten whole (full-stripe writes), so
-  // the fresh version never merges over cloned bytes — and an uncompleted
-  // stripe rolls back at recovery instead of reading a cloned base.
-  loc.needs_clone = !h.ec;
+  // Every holder lands the fresh version as the shared one's bytes with
+  // the window's dirty pages merged in — replica or fragment alike.
+  loc.needs_clone = true;
   loc.clone_from = h.key;
-  loc.key = fresh_key;
   loc.benefactors = *fresh_list;
-  loc.ec = h.ec;
-  slot = std::move(nh);
   return loc;
 }
 
@@ -1830,25 +1787,97 @@ StatusOr<std::vector<WriteLocation>> Manager::PrepareWriteBatch(
   std::vector<char> suspected;
   if (config_.placement_avoid_suspected) suspected = SuspectedBenefactors();
   std::unique_lock<std::shared_mutex> lock(meta->mu);
+  // Every slot's current version and its COW successor may hash to
+  // different shards: lock the window's whole shard set up front, in
+  // ascending order, and hold it through the WAL write, so each slot's
+  // refcount check, its swap record and the swap itself happen under one
+  // consistent lock set.
+  std::vector<size_t> order;
+  order.reserve(2 * indices.size());
+  for (uint32_t index : indices) {
+    if (index >= meta->chunks.size()) {
+      return OutOfRange("chunk " + std::to_string(index) + " beyond EOF of '" +
+                        meta->name + "'");
+    }
+    ChunkKey key = meta->chunks[index]->key;
+    order.push_back(shard_of(key));
+    ++key.version;
+    order.push_back(shard_of(key));
+  }
+  std::sort(order.begin(), order.end());
+  order.erase(std::unique(order.begin(), order.end()), order.end());
+  std::vector<std::unique_lock<std::mutex>> held;
+  held.reserve(order.size());
+  for (size_t s : order) held.emplace_back(shards_[s].mu);
+
   std::vector<WriteLocation> locs;
   locs.reserve(indices.size());
-  for (uint32_t index : indices) {
-    auto loc = PrepareWriteSlot(clock, id, *meta, index,
-                                suspected.empty() ? nullptr : &suspected);
+  std::vector<std::shared_ptr<const std::vector<int>>> fresh_lists(
+      indices.size());
+  for (size_t i = 0; i < indices.size(); ++i) {
+    auto loc = PlanWriteSlotLocked(*meta, indices[i],
+                                   suspected.empty() ? nullptr : &suspected,
+                                   fresh_lists[i]);
     if (!loc.ok()) {
       // The caller gets an error and will never complete the window:
-      // close the writes already opened so they don't fence repairs of
-      // those chunks forever.  These closures log nothing — no byte
-      // moved, so the durable checksum (if any) still matches the stored
-      // contents; only the volatile fence and epoch need settling.
-      for (const WriteLocation& opened : locs) {
-        MetaShard& shard = shards_[shard_of(opened.key)];
-        std::lock_guard<std::mutex> slock(shard.mu);
-        CompleteWriteLocked(shard, opened.key);
+      // close the in-place writes already opened so they don't fence
+      // repairs of those chunks forever, and hand back the space reserved
+      // for COW versions nothing will publish.  Nothing was logged or
+      // swapped, and no byte moved.
+      for (size_t o = 0; o < locs.size(); ++o) {
+        if (!locs[o].needs_clone) {
+          CompleteWriteLocked(shards_[shard_of(locs[o].key)], locs[o].key);
+          continue;
+        }
+        for (int bid : *fresh_lists[o]) {
+          if (bid >= 0) {
+            BenefactorAt(bid)->ReleaseBytes(ChunkResBytes(locs[o].ec));
+          }
+        }
       }
       return loc.status();
     }
     locs.push_back(*std::move(loc));
+  }
+
+  // Log every swap of the window in one WAL write before any of them
+  // becomes visible (the reservations above are benefactor-side state
+  // recovery reconciles wholesale).  After a crash a durable slot points
+  // at its fresh version; if that version's data never landed anywhere,
+  // recovery rolls the slot back to the shared one — the chunk reads old
+  // bytes or new bytes, never a mix, never zeros.
+  if (wal_ != nullptr) {
+    std::vector<WalRecord> swaps;
+    for (size_t i = 0; i < locs.size(); ++i) {
+      if (!locs[i].needs_clone) continue;
+      WalRecord& rec = swaps.emplace_back();
+      rec.type = WalRecordType::kCowSwap;
+      rec.file_id = id;
+      rec.slot = indices[i];
+      rec.old_key = locs[i].clone_from;
+      rec.key = locs[i].key;
+      rec.replicas = locs[i].benefactors;
+    }
+    wal_->AppendGroup(clock, swaps);
+  }
+
+  // Publish: each COW slot moves to a fresh handle fenced until its
+  // write lands, which shares the (immutable) replica snapshot — or, when
+  // the placement engine dropped holders, its filtered copy.
+  for (size_t i = 0; i < locs.size(); ++i) {
+    if (!locs[i].needs_clone) continue;
+    std::shared_ptr<ChunkHandle>& slot = meta->chunks[indices[i]];
+    --slot->refcount;  // live file drops its reference to the shared version
+    auto nh = std::make_shared<ChunkHandle>(locs[i].key);
+    nh->refcount = 1;
+    nh->repair_epoch = 1;  // the COW write targets the fresh version
+    nh->ec = slot->ec;
+    nh->replicas.store(std::move(fresh_lists[i]), std::memory_order_release);
+    MetaShard& fresh_shard = shards_[shard_of(locs[i].key)];
+    fresh_shard.inflight_writers[locs[i].key] = 1;
+    NVM_CHECK(fresh_shard.chunks.emplace(locs[i].key, nh).second,
+              "COW version collision (a window repeats a chunk index)");
+    slot = std::move(nh);
   }
   return locs;
 }

@@ -86,8 +86,9 @@ struct BenefactorRun {
 };
 
 // Location info for writing one chunk.  If `needs_clone` is set the chunk
-// is shared with a checkpoint: the client must ask the (first) benefactor
-// to CloneChunk(clone_from -> key) before writing.
+// is shared with a checkpoint: `key` is a fresh version, and every holder
+// lands it as `clone_from`'s bytes with the write's dirty pages merged in
+// (ChunkWriteItem::needs_clone).
 struct WriteLocation {
   ChunkKey key;
   std::vector<int> benefactors;  // EC: positional fragment map, -1 missing
@@ -385,10 +386,12 @@ class Manager {
                          GetReadLocations(clock, id, chunk_index, 1));
     return std::move(locs.front());
   }
-  // Resolve the targets for writing a flush window (any set of chunk
-  // indices of one file) in ONE metadata service op, performing the
+  // Resolve the targets for writing a flush window (any set of distinct
+  // chunk indices of one file) in ONE metadata service op, performing the
   // copy-on-write decision per chunk: a chunk shared with a checkpoint
-  // gets a fresh version.  Result order matches `indices`.  On error no
+  // gets a fresh version.  The window's COW swaps are journaled as one
+  // WAL device write (a kCowSwap record each) before any slot moves.
+  // Result order matches `indices`.  On error no slot has moved and no
   // write is left open; on success every returned location MUST be
   // completed (CompleteWrites) once the replica transfers finish (success
   // or failure) — the open prepare fences the repair engine off the chunk.
@@ -580,19 +583,21 @@ class Manager {
   // Drop one reference; frees the chunk on its benefactors at zero
   // (owning shard mu held).
   void UnrefChunkLocked(MetaShard& shard, ChunkHandle& h);
-  // COW-resolve one slot of `meta` (file mu held exclusive; takes the
-  // old/new shard mutexes in ascending order itself).  Rolls back partial
-  // space reservations if a replica runs out of space mid-COW.  A COW
-  // swap logs a kCowSwap record (under the file + shard locks) before the
-  // slot moves; the in-place branch logs nothing — the chunk's identity
-  // and placement are unchanged.  `suspected` (may be null) is the
-  // caller's SuspectedBenefactors() snapshot, taken before any lock: with
-  // placement_avoid_suspected on, a COW drops dead or suspected inherited
-  // holders (keeping at least one) instead of failing the whole prepare
-  // on a dead holder's reservation.
-  StatusOr<WriteLocation> PrepareWriteSlot(
-      sim::VirtualClock& clock, FileId id, FileMeta& meta,
-      uint32_t chunk_index, const std::vector<char>* suspected = nullptr);
+  // Decide how one slot of a write window is written (file mu held
+  // exclusive, the slot's current and successor shards locked): the sole
+  // owner writes in place (its repair epoch moves and its write fence
+  // opens); a chunk shared with a checkpoint gets a copy-on-write plan —
+  // the fresh version's key, `fresh_list` (its holders) and their space,
+  // reserved, or all rolled back if a holder runs out.  A COW plan
+  // publishes nothing: PrepareWriteBatch logs the window's swaps in one
+  // WAL write and only then moves the slots.  `suspected` (may be null)
+  // is the caller's SuspectedBenefactors() snapshot, taken before any
+  // lock: with placement_avoid_suspected on, a COW drops dead or
+  // suspected inherited holders (keeping at least one) instead of failing
+  // the whole prepare on a dead holder's reservation.
+  StatusOr<WriteLocation> PlanWriteSlotLocked(
+      FileMeta& meta, uint32_t chunk_index, const std::vector<char>* suspected,
+      std::shared_ptr<const std::vector<int>>& fresh_list);
   // Per-benefactor suspicion flags from the heartbeat detector, via the
   // maintenance hook (hook_mu_ shared; empty when detached).  Callers
   // snapshot ONCE per operation before taking any file or shard lock and

@@ -68,20 +68,22 @@ inline ChunkRunSink NoteSparse(bool* sparse) {
   };
 }
 
-// One chunk inside a multi-chunk write run (Benefactor::WriteChunkRun).
-// `data` is the full chunk image; `dirty` selects the pages to program.
-// When `needs_clone` is set the benefactor must copy `clone_from` into
-// `key` before applying the dirty pages (COW of a shared version).
+// One chunk (or erasure fragment) inside a multi-chunk write run
+// (Benefactor::WriteChunkRun).  `data` is the full blob image; `dirty`
+// selects the pages that cross the wire.  When `needs_clone` is set `key`
+// is a fresh copy-on-write version: the benefactor lands it as
+// `clone_from`'s stored bytes with the dirty pages merged in.
 struct ChunkWriteItem {
   ChunkKey key;
   const Bitmap* dirty = nullptr;
   std::span<const uint8_t> data;
   bool needs_clone = false;
   ChunkKey clone_from;
-  // Client-computed CRC32C of the full chunk image (valid when `has_crc`,
-  // which the client sets only for a full-image write); the benefactor
-  // stores it with the chunk — or recomputes over the merged image when
-  // the dirty set covers only part of the chunk.
+  // Client-computed CRC32C (valid when `has_crc`) of its blob image,
+  // which the benefactor stores verbatim when the dirty set covers the
+  // blob; a partial write makes it checksum the merged image instead.  A
+  // partial copy-on-write item's crc is the merged blob's: the benefactor
+  // stores it only once the checksum it derives from the base's agrees.
   bool has_crc = false;
   uint32_t crc = 0;
   // Out (rides the run's ack): the CRC the benefactor actually stored.

@@ -164,33 +164,42 @@ WalStore::WalStore(const StoreConfig& config)
 }
 
 void WalStore::Append(sim::VirtualClock& clock, WalRecord rec) {
+  AppendGroup(clock, {&rec, 1});
+}
+
+void WalStore::AppendGroup(sim::VirtualClock& clock,
+                           std::span<WalRecord> recs) {
+  if (recs.empty()) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (crashed_.load(std::memory_order_relaxed)) {
-    dropped_.Add(1);
+    dropped_.Add(recs.size());
     return;
   }
-  rec.seq = next_seq_++;
-  const std::string framed = FrameRecord(EncodePayload(rec));
-  appends_.Add(1);
-
-  bool tear_this_append = false;
-  if (crash_countdown_ > 0 && --crash_countdown_ == 0) tear_this_append = true;
-
-  if (tear_this_append) {
-    // The crash lands mid-record: only a prefix of the frame reaches the
-    // device, which a reader sees as a torn tail (truncated length or
-    // failing CRC).  Everything after this instant is frozen.
-    const size_t torn = std::max<size_t>(1, framed.size() / 2);
-    AppendBytesLocked(framed.substr(0, torn), rec.seq);
-    device_->ChargeWrite(clock, append_offset_, torn);
-    append_offset_ += torn;
-    FreezeLocked();
-    return;
+  // Every record keeps its own frame, so the reader sees exactly the
+  // records it would had each been appended alone; only the device sees
+  // one write of their concatenation.
+  uint64_t bytes = 0;
+  for (WalRecord& rec : recs) {
+    rec.seq = next_seq_++;
+    const std::string framed = FrameRecord(EncodePayload(rec));
+    appends_.Add(1);
+    if (crash_countdown_ > 0 && --crash_countdown_ == 0) {
+      // The crash lands mid-record: only a prefix of this frame reaches
+      // the device (the records ahead of it in the group are whole),
+      // which a reader sees as a torn tail (truncated length or failing
+      // CRC).  Everything after this instant is frozen.
+      const size_t torn = std::max<size_t>(1, framed.size() / 2);
+      AppendBytesLocked(framed.substr(0, torn), rec.seq);
+      bytes += torn;
+      dropped_.Add(static_cast<uint64_t>(&recs.back() - &rec));
+      FreezeLocked();
+      break;
+    }
+    AppendBytesLocked(framed, rec.seq);
+    bytes += framed.size();
   }
-
-  AppendBytesLocked(framed, rec.seq);
-  device_->ChargeWrite(clock, append_offset_, framed.size());
-  append_offset_ += framed.size();
+  device_->ChargeWrite(clock, append_offset_, bytes);
+  append_offset_ += bytes;
 }
 
 void WalStore::AppendBytesLocked(const std::string& framed, uint64_t seq) {

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -212,6 +213,13 @@ class WalStore {
   // of the metadata plane — Append is called with shard/file/ns mutexes
   // held and never takes any of them.
   void Append(sim::VirtualClock& clock, WalRecord rec);
+  // Append `recs` in order as ONE device write: each record is assigned
+  // its sequence number and framed exactly as Append would (the reader
+  // cannot tell a group from single appends), and the device is charged
+  // once for the concatenated frames.  An armed CrashAfterAppends counts
+  // records, not groups: the triggering record tears mid-frame, the ones
+  // ahead of it in the group stay whole and the rest are dropped.
+  void AppendGroup(sim::VirtualClock& clock, std::span<WalRecord> recs);
 
   // Sequence number of the last record handed out (0 before the first).
   uint64_t last_seq() const;

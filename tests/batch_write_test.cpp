@@ -3,8 +3,9 @@
 // amortisation (a K-chunk flush window to one benefactor is exactly ONE
 // write request), byte-for-byte equality of unbounded runs vs runs of one
 // chunk (max_run_chunks=1), virtual-time identity of a batch of one with
-// the per-chunk write path it replaced (dense, partial-dirty and COW-clone
-// cases, and with the WAL or QoS on; values pinned from that path),
+// the per-chunk write path it replaced (dense and partial-dirty cases,
+// and with the WAL or QoS on; values pinned from that path), the COW
+// clone's one-program landing (derived from that path's pin),
 // QoS admission of every streamed payload, device-latency amortisation,
 // parallel replica charging (a replicated flush costs max(replica times),
 // not their sum), degraded writes when a replica dies, and a multi-process
@@ -265,11 +266,22 @@ TEST(BatchWriteTest, BatchOfOneMatchesLegacyVirtualTime) {
 }
 
 TEST(BatchWriteTest, BatchOfOneCloneMatchesLegacyVirtualTime) {
-  // Same identity through the copy-on-write path: the chunk is shared
-  // with a second file (a checkpoint link), so the write must clone first.
-  // The run path ships the clone instruction as a standalone control
-  // message; a run of one must still cost exactly the per-chunk sequence
-  // (pinned from that path).
+  // The copy-on-write path: the chunk is shared with a second file (a
+  // checkpoint link), so the write lands a fresh version.  The run path
+  // ships the clone instruction as a standalone control message, and the
+  // benefactor reads the shared version and programs the merged one.
+  //
+  // The per-chunk sequence this replaced cost 2'550'398 ns, 132'672 wire
+  // bytes and 1'748'662 ns of device busy time: it cloned (a 64 KiB read
+  // and a 64 KiB program) and only then received and programmed the dirty
+  // pages.  Landing the clone and the pages as one program removes the
+  // clone's own 64 KiB program (85 us latency + 64 KiB at 170 MB/s =
+  // 470'506 ns): busy 1'748'662 - 470'506 = 1'278'156 ns.  The dirty pages
+  // no longer wait for the clone either: 64 KiB plus the run header
+  // (285'217 ns at 230 MB/s + 60 us wire latency = 345'217 ns) stream in
+  // while the 337'144 ns source read runs, so the write completes
+  // 470'506 + 345'217 = 815'723 ns sooner, at 1'734'675 ns.  The wire
+  // carries the same bytes.
   const auto data = Pattern(kChunk, 33);
   const auto update = Pattern(kChunk, 34);
   for (const size_t max_run : {kUnbounded, size_t{1}}) {
@@ -291,17 +303,60 @@ TEST(BatchWriteTest, BatchOfOneCloneMatchesLegacyVirtualTime) {
     const OneWrite w = WriteOne(c, *id, all, {update.data(), kChunk},
                                 /*via_pages=*/false);
     ASSERT_TRUE(w.status.ok());
-    EXPECT_EQ(w.ready_at, 2'550'398);
-    EXPECT_EQ(w.clock, 2'550'398);
+    EXPECT_EQ(w.ready_at, 1'734'675);
+    EXPECT_EQ(w.clock, 1'734'675);
     EXPECT_EQ(rig.cluster->network().remote_bytes(), 132'672u);
     EXPECT_EQ(rig.cluster->network().bytes_transferred(), 132'672u);
-    EXPECT_EQ(rig.store->benefactor(0).ssd().channel().busy_ns(), 1'748'662);
+    EXPECT_EQ(rig.store->benefactor(0).ssd().channel().busy_ns(), 1'278'156);
     EXPECT_EQ(rig.store->benefactor(1).ssd().channel().busy_ns(), 0);
     // Both views unchanged: the live file carries the update, the
     // checkpoint still reads the original bytes.
     ExpectReadsBack(c, *id, 1, update);
     ExpectReadsBack(c, *ckpt, 1, data);
   }
+}
+
+TEST(BatchWriteTest, FailedCowPrepareMovesNoSlot) {
+  // A COW window whose third chunk cannot reserve space for its fresh
+  // version fails as a whole: the two COW plans ahead of it give their
+  // reservations back and their slots stay on the shared versions, so
+  // the live file still reads its bytes (a swapped slot would point at a
+  // fresh version nothing ever wrote, and read as zeros).
+  net::ClusterConfig cc;
+  cc.num_nodes = 3;
+  net::Cluster cluster(cc);
+  AggregateStoreConfig sc;
+  sc.store.chunk_bytes = kChunk;
+  sc.benefactor_nodes = {1, 2};
+  sc.contribution_bytes = 3 * kChunk;  // two chunks each, one to spare
+  sc.manager_node = 1;
+  AggregateStore store(cluster, sc);
+  StoreClient& c = store.ClientForNode(0);
+  sim::VirtualClock clock(0);
+  auto id = c.Create(clock, "/live");
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(c.Fallocate(clock, *id, 4 * kChunk).ok());
+  const auto data = Pattern(4 * kChunk, 35);
+  std::vector<Bitmap> dirty;
+  BatchWrite(c, clock, *id, 4, data, dirty);
+  auto ckpt = c.Create(clock, "/ckpt");
+  ASSERT_TRUE(ckpt.ok());
+  ASSERT_TRUE(c.LinkFileChunks(clock, *ckpt, *id).ok());
+
+  const std::vector<uint32_t> window = {0, 1, 2, 3};
+  auto prepared = store.manager().PrepareWriteBatch(clock, *id, window);
+  EXPECT_EQ(prepared.status().code(), ErrorCode::kOutOfSpace);
+  for (size_t b = 0; b < 2; ++b) {
+    EXPECT_EQ(store.benefactor(b).bytes_used(), 2 * kChunk);
+  }
+  auto locs = store.manager().GetReadLocations(clock, *id, 0, 4);
+  ASSERT_TRUE(locs.ok());
+  for (const ReadLocation& loc : *locs) {
+    EXPECT_EQ(loc.key.version, 0u) << loc.key.ToString();
+    EXPECT_EQ(store.manager().ChunkRefcount(loc.key), 2u);
+  }
+  // A client with no cached locations resolves afresh.
+  ExpectReadsBack(store.ClientForNode(2), *id, 4, data);
 }
 
 TEST(BatchWriteTest, WalCompletionIsChargedAfterTheWritesItAttests) {

@@ -846,6 +846,55 @@ TEST(CorruptionTest, ReadFailsOverOnCorruptReplica) {
       rig.store->benefactor(static_cast<size_t>(rotten)).HasChunk(loc->key));
 }
 
+TEST(CorruptionTest, QuarantinedCopyNeverReadsAsZerosThroughAStaleLocation) {
+  // Client A caches chunk 0's replicas {P, S}.  P's copy rots; client B
+  // reads it, and the manager quarantines P — stripping it from the list
+  // and deleting the copy.  A's cached location still names P: the read
+  // must not take P's missing copy for a never-written hole and serve
+  // zeros.  It fails over to S with the right bytes, and A's next read
+  // resolves afresh.
+  Rig rig(/*replication=*/2);
+  store::StoreClient& a = rig.store->ClientForNode(0);
+  store::StoreClient& b = rig.store->ClientForNode(3);
+  store::Manager& m = rig.store->manager();
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 67);
+  const store::FileId id = WriteStoreFile(a, "/stale", 1, data, clock);
+  std::vector<uint8_t> got(kChunk);
+  ASSERT_TRUE(a.ReadChunk(clock, id, 0, got).ok());  // caches {P, S}
+  ASSERT_EQ(got, data);
+
+  auto loc = m.GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(loc.ok());
+  ASSERT_EQ(loc->benefactors.size(), 2u);
+  const int primary = loc->benefactors[0];
+  store::Benefactor& p = rig.store->benefactor(static_cast<size_t>(primary));
+  ASSERT_TRUE(p.CorruptChunk(loc->key, 17, 0x04).ok());
+  ASSERT_TRUE(b.ReadChunk(clock, id, 0, got).ok());
+  ASSERT_EQ(got, data);
+  ASSERT_EQ(m.corrupt_detected(), 1u);
+  ASSERT_FALSE(p.HasChunk(loc->key));
+
+  std::vector<uint8_t> sparse(kChunk);
+  EXPECT_EQ(p.ReadChunk(clock, loc->key, sparse).code(),
+            ErrorCode::kNotFound);
+  std::fill(got.begin(), got.end(), 0xA5);
+  ASSERT_TRUE(a.ReadChunk(clock, id, 0, got).ok());
+  EXPECT_EQ(got, data);
+  const uint64_t rtts = a.meta_round_trips();
+  ASSERT_TRUE(a.ReadChunk(clock, id, 0, got).ok());
+  EXPECT_EQ(got, data);
+  EXPECT_EQ(a.meta_round_trips() - rtts, 1u);  // the stale entry was dropped
+
+  // A write landing the key on P again ends the quarantine there.
+  Bitmap all(kChunk / a.config().page_bytes);
+  all.SetAll();
+  const uint32_t crc = Crc32c(data.data(), data.size());
+  ASSERT_TRUE(p.WritePages(clock, loc->key, all, data, &crc).ok());
+  ASSERT_TRUE(p.ReadChunk(clock, loc->key, sparse).ok());
+  EXPECT_EQ(sparse, data);
+}
+
 TEST(CorruptionTest, RepairRebuildsFromVerifiedSurvivor) {
   Rig rig(/*replication=*/2, /*benefactors=*/4, /*maintenance=*/true);
   store::StoreClient& c = rig.store->ClientForNode(0);

@@ -8,7 +8,8 @@
 //    CrashAfterAppends schedule being deterministic.
 //  * A crash-point matrix: the store is crashed at every named point
 //    (mid completion batch, mid repair commit, mid checkpoint, mid
-//    scrub, mid quarantine publish, mid COW prepare) and must recover —
+//    scrub, mid quarantine publish, mid COW prepare, a torn grouped
+//    COW-swap write, a torn COW erasure window) and must recover —
 //    via KillManager/RestartManager — to a store that passes the full
 //    cross-layer invariant sweep and serves only old-or-new bytes,
 //    never wrong ones.
@@ -326,6 +327,55 @@ TEST(WalUnit, CrashAfterAppendsIsSeededAndDeterministic) {
   EXPECT_GE(first, 1u);
   EXPECT_LE(first, 16u);
   EXPECT_EQ(first, trigger_at(0x5eed));
+}
+
+TEST(WalUnit, GroupAppendIsOneDeviceWriteOfIndividualFrames) {
+  // A group lands as one device write (one request latency), yet the
+  // reader sees exactly the records — and sequence numbers — that
+  // appending them one by one would have left.
+  WalStore grouped(WalConfig());
+  WalStore single(WalConfig());
+  sim::VirtualClock grouped_clock(0);
+  sim::VirtualClock single_clock(0);
+  std::vector<WalRecord> recs;
+  for (uint64_t i = 1; i <= 5; ++i) recs.push_back(UnlinkRecord(i));
+  grouped.AppendGroup(grouped_clock, recs);
+  for (uint64_t i = 1; i <= 5; ++i) {
+    single.Append(single_clock, UnlinkRecord(i));
+  }
+
+  EXPECT_EQ(grouped.device().channel().num_requests(), 1u);
+  EXPECT_EQ(single.device().channel().num_requests(), 5u);
+  EXPECT_EQ(grouped.appends(), 5u);
+  EXPECT_EQ(grouped.wal_bytes(), single.wal_bytes());
+  EXPECT_LT(grouped_clock.now(), single_clock.now());
+  auto g = grouped.ReadForRecovery(grouped_clock);
+  auto o = single.ReadForRecovery(single_clock);
+  EXPECT_FALSE(g.torn_tail);
+  ASSERT_EQ(g.records.size(), o.records.size());
+  for (size_t i = 0; i < g.records.size(); ++i) {
+    EXPECT_EQ(g.records[i].seq, o.records[i].seq);
+    EXPECT_EQ(g.records[i].file_id, o.records[i].file_id);
+  }
+}
+
+TEST(WalUnit, CrashInsideAGroupKeepsTheRecordsAheadOfIt) {
+  // The armed countdown counts records: the third record of the group
+  // tears mid-frame, the two ahead of it are durable, the rest never
+  // reach the device.
+  WalStore wal(WalConfig());
+  sim::VirtualClock clock(0);
+  wal.CrashAfterAppends(3, 0);
+  std::vector<WalRecord> recs;
+  for (uint64_t i = 1; i <= 5; ++i) recs.push_back(UnlinkRecord(i));
+  wal.AppendGroup(clock, recs);
+  EXPECT_TRUE(wal.crashed());
+  EXPECT_EQ(wal.device().channel().num_requests(), 1u);
+  EXPECT_EQ(wal.dropped_appends(), 2u);
+  auto replay = wal.ReadForRecovery(clock);
+  EXPECT_TRUE(replay.torn_tail);
+  ASSERT_EQ(replay.records.size(), 2u);
+  EXPECT_EQ(replay.records[1].file_id, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -944,6 +994,138 @@ TEST(CrashMatrix, EcWindowMidBatchLeavesEveryStripeOldOrNew) {
       EXPECT_TRUE(old_bytes || new_bytes) << "stripe " << i << " is a splice";
       EXPECT_EQ(new_bytes, !cow) << "stripe " << i;
     }
+  }
+}
+
+// A store of `chunks` chunks holding Pattern(200 + i), shared with a
+// checkpoint, then a window rewriting one page of every chunk (new bytes
+// Pattern(300 + i) on that page) after `arm` armed the crash.  Returns the
+// ids of the live file and the checkpoint; `v1`/`v2` get each chunk's old
+// and new bytes.
+template <typename R>
+std::pair<store::FileId, store::FileId> CrashCowWindow(
+    R& rig, sim::VirtualClock& clock, uint32_t chunks,
+    const std::function<void()>& arm, std::vector<std::vector<uint8_t>>& v1,
+    std::vector<std::vector<uint8_t>>& v2) {
+  store::StoreClient& c = rig.client();
+  auto id = c.Create(clock, "/cw");
+  EXPECT_TRUE(id.ok());
+  EXPECT_TRUE(c.Fallocate(clock, *id, chunks * kChunk).ok());
+  const uint64_t page = c.config().page_bytes;
+  std::vector<Bitmap> dirty(chunks, Bitmap(kChunk / page));
+  std::vector<Bitmap> valid(chunks, Bitmap(kChunk / page));
+  std::vector<store::StoreClient::ChunkWrite> writes(chunks);
+  for (uint32_t i = 0; i < chunks; ++i) {
+    v1.push_back(Pattern(200 + i));
+    EXPECT_TRUE(WriteChunk(c, clock, *id, i, v1[i]).ok());
+    v2.push_back(v1[i]);
+    const auto fresh = Pattern(300 + i);
+    const size_t p = 3 + 4 * i;  // a page of data position i
+    std::copy(fresh.begin() + p * page, fresh.begin() + (p + 1) * page,
+              v2[i].begin() + p * page);
+    dirty[i].Set(p);
+    valid[i].SetAll();
+    writes[i].index = i;
+    writes[i].dirty = &dirty[i];
+    writes[i].valid = &valid[i];
+    writes[i].image = v2[i];
+  }
+  auto ckpt = c.Create(clock, "/cw.ckpt");
+  EXPECT_TRUE(ckpt.ok());
+  EXPECT_TRUE(c.LinkFileChunks(clock, *ckpt, *id).ok());
+  arm();
+  EXPECT_TRUE(c.WriteChunks(clock, *id, writes).ok());
+  EXPECT_TRUE(rig.store.wal()->crashed());
+  return {*id, *ckpt};
+}
+
+// Every chunk of `id` reads back as its old bytes or its new ones; the
+// checkpoint reads its old ones.  Returns how many read new.
+template <typename R>
+size_t ExpectOldOrNew(R& rig, sim::VirtualClock& clock, store::FileId id,
+                      store::FileId ckpt,
+                      const std::vector<std::vector<uint8_t>>& v1,
+                      const std::vector<std::vector<uint8_t>>& v2) {
+  std::vector<uint8_t> buf(kChunk);
+  size_t fresh = 0;
+  for (uint32_t i = 0; i < v1.size(); ++i) {
+    EXPECT_TRUE(rig.client().ReadChunk(clock, id, i, buf).ok()) << i;
+    EXPECT_TRUE(buf == v1[i] || buf == v2[i]) << "chunk " << i << " mixed";
+    if (buf == v2[i]) ++fresh;
+    EXPECT_TRUE(rig.client().ReadChunk(clock, ckpt, i, buf).ok()) << i;
+    EXPECT_EQ(buf, v1[i]) << "checkpoint chunk " << i;
+  }
+  return fresh;
+}
+
+TEST(CrashMatrix, TornGroupedCowSwapWriteLeavesEverySlotOldOrNew) {
+  // A four-chunk COW window journals its swaps as one WAL write, and the
+  // crash tears that write at its second record: the first swap is
+  // durable, the second torn, the last two (and the completion) never
+  // reach the device.  After recovery every slot reads its old or its
+  // new bytes.  A replicated slot whose swap survived keeps the new bytes
+  // its replicas agree on; an erasure stripe commits only at its
+  // completion record, so it rolls back.
+  constexpr uint32_t kChunks = 4;
+  for (const bool ec : {false, true}) {
+    SCOPED_TRACE(ec ? "RS(4,2)" : "replication 2");
+    sim::VirtualClock clock(0);
+    std::vector<std::vector<uint8_t>> v1, v2;
+    const auto run = [&](auto& rig) {
+      const auto arm = [&] { rig.store.wal()->CrashAfterAppends(2, 0); };
+      const auto [id, ckpt] = CrashCowWindow(rig, clock, kChunks, arm, v1, v2);
+      rig.store.KillManager();
+      auto report = rig.store.RestartManager(clock);
+      EXPECT_TRUE(report.torn_tail);
+      EXPECT_EQ(report.chunks_lost, 0u);
+      EXPECT_EQ(report.cow_rolled_back, ec ? 1u : 0u);
+      EXPECT_EQ(ExpectOldOrNew(rig, clock, id, ckpt, v1, v2), ec ? 0u : 1u);
+    };
+    if (ec) {
+      EcRig rig;
+      run(rig);
+    } else {
+      Rig rig;
+      run(rig);
+    }
+  }
+}
+
+TEST(CrashMatrix, TornCowEcWindowRollsEveryStripeBack) {
+  // A COW window of one-page stripe updates is torn twice over: a holder
+  // dies after merging two of its four fragments, and the manager dies
+  // before the window's completion record.  The fresh versions hold
+  // merged fragments on some holders and none on others; recovery rolls
+  // every stripe back to the shared version — never a splice, never
+  // zeros — and the merged fragments die as orphans.
+  constexpr uint32_t kStripes = 4;
+  EcRig rig;
+  sim::VirtualClock clock(0);
+  std::vector<std::vector<uint8_t>> v1, v2;
+  store::Benefactor& dying = rig.store.benefactor(3);
+  const auto arm = [&] {
+    dying.KillAfterWrites(2);
+    rig.store.wal()->CrashAtPoint(CrashPoint::kMidBatch);
+  };
+  const auto [id, ckpt] = CrashCowWindow(rig, clock, kStripes, arm, v1, v2);
+  EXPECT_FALSE(dying.alive());
+  dying.Revive();
+
+  rig.store.KillManager();
+  auto report = rig.store.RestartManager(clock);
+  EXPECT_EQ(report.chunks_lost, 0u);
+  EXPECT_EQ(report.cow_rolled_back, kStripes);
+  // Two stripes landed all six merged fragments, two only five.
+  EXPECT_EQ(report.orphans_deleted, 2 * 6u + 2 * 5u);
+  EXPECT_EQ(ExpectOldOrNew(rig, clock, id, ckpt, v1, v2), 0u);
+
+  auto scrub = rig.store.manager().ScrubOnce(clock);
+  EXPECT_EQ(scrub.orphans_deleted, 0u);
+  EXPECT_EQ(scrub.reservation_fixes, 0u);
+  const uint64_t frag = rig.store.manager().config().ec_frag_bytes();
+  for (size_t b = 0; b < 6; ++b) {
+    EXPECT_EQ(rig.store.benefactor(b).bytes_used(), kStripes * frag)
+        << "benefactor " << b;
   }
 }
 
